@@ -66,8 +66,8 @@ class FockRep:
 def validate_params(lam: int, alpha) -> AlgebraParams:
     """Validate (lambda, alpha) and populate the derived arrays.
 
-    alpha must have length lambda and sum to zero within 1e-9 (it is then
-    re-centered so the sum is exactly zero).  Admissibility requires
+    alpha must have length lambda, be finite, and sum to zero within 1e-9
+    (it is then re-centered so the sum is exactly zero).  Admissibility requires
     F(mu) = beta_mu + mu > 0 for mu = 1..lambda-1, so every Fock state has
     positive norm.
     """
@@ -77,6 +77,8 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (lam,):
         raise ValueError(f"alpha must have length {lam}, got {alpha.size}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite, got {alpha.tolist()}")
     total = float(alpha.sum())
     if abs(total) > 1e-9:
         raise ValueError(f"sum(alpha) = {total:.6g} violates the zero-sum constraint")

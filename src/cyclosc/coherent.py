@@ -103,6 +103,8 @@ def build_cs(
     if not 0 <= mu < lam:
         raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
     z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"z must be finite, got {z}")
     floor = max(4 * lam, mu + 6)
     if z == 0:
         nm = floor if n_max is None else int(n_max)

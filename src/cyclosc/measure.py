@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .algebra import AlgebraParams
 from .specfun import bessel_k, pochhammer
@@ -110,7 +109,10 @@ def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float 
     the photon weight), cuts the upper range where an exponential-decay tail
     estimate drops below quad_tol * target, and returns (value, rel_error).
     Raises if the cut search or the quadrature fails to converge.
+    scipy.integrate is imported here, on first use, not with the package.
     """
+    from scipy.integrate import quad
+
     if k > 12:
         raise ValueError("moment order k must be <= 12")
     lam = target.lam

@@ -1,7 +1,8 @@
 """Scalar special functions used by the coherent-state and measure formulas.
 
 Generalized hypergeometric series of type 0F_q, generalized Mittag-Leffler
-functions, and modified Bessel functions I_nu / K_nu.  The series evaluators
+functions, and the modified Bessel function K_nu (a guarded wrapper around
+scipy.special, imported lazily).  The series evaluators
 return a ``SeriesResult`` carrying the number of terms summed and an upper
 bound on the truncated tail, so callers can propagate truncation error.
 """
@@ -11,14 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 __all__ = [
     "SeriesResult",
     "pochhammer",
     "hyper0F",
     "mittag_leffler",
-    "bessel_i",
     "bessel_k",
 ]
 
@@ -131,44 +129,19 @@ def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> S
             raise RuntimeError("mittag_leffler series did not converge")
 
 
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x) for x >= 0, via the 0F1 series
-
-        I_nu(x) = (x/2)^nu / Gamma(nu+1) * 0F1(; nu+1; x^2/4).
-
-    Negative integer orders use I_{-n} = I_n.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if nu < 0 and nu == int(nu):
-        nu = -nu
-    if x == 0:
-        if nu == 0:
-            return 1.0
-        return 0.0 if nu > 0 else math.inf
-    series = hyper0F([nu + 1.0], 0.25 * x * x)
-    return (0.5 * x) ** nu / math.gamma(nu + 1.0) * series.value
-
-
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function K_nu(x) for x > 0, by adaptive quadrature of
+    """Modified Bessel function K_nu(x) for x > 0, from scipy's exponentially
+    scaled kve (Amos's algorithm, ACM TOMS 644): K_nu(x) = kve(nu, x) e^{-x}.
 
-        K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt.
-
-    The integrand decays double-exponentially; the range is cut where
-    x cosh t reaches the underflow threshold of exp.
+    Unscaled kv flushes to 0.0 from about x = 700, although K_nu(x) stays a
+    normal double up to x = 705; the scaled route keeps full precision there
+    and underflows only where e^{-x} does.  kv/kve return inf or NaN for
+    x <= 0 or NaN x instead of raising, so those are rejected here.
+    scipy.special is imported on first call, so importing cyclosc does not
+    load it.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("x must be positive")
-    # exp(-745) is the smallest positive double; beyond this t the integrand is 0.
-    upper = math.acosh(max(745.0 / x, 1.0)) + 1.0
-    res = quad(
-        lambda t: math.exp(-x * math.cosh(t)) * math.cosh(nu * t),
-        0.0,
-        upper,
-        epsabs=1e-300,
-        epsrel=1e-12,
-        limit=200,
-        full_output=1,
-    )
-    return res[0]
+    from scipy.special import kve
+
+    return float(kve(nu, x)) * math.exp(-x)

@@ -36,7 +36,7 @@ from .measure import (
     unity_reconstruction,
     angular_offdiagonal,
 )
-from .specfun import bessel_i, pochhammer
+from .specfun import pochhammer
 
 __all__ = [
     "CheckResult",
@@ -181,10 +181,13 @@ def suite_commutators(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
             dev = max(dev, abs(fock.a[n - 1, n] - fock.b[n - 1, n] * math.sqrt(algebra.structure_function(params, n) / n)))
         results.append(CheckResult("dressed-ladder-relation", dev < 1e-13, f"{tag} dev={dev:.3e}"))
 
+        # x ** 2 goes through pow(), which can land one ulp away from the
+        # product x * x that the matmul forms: allow a few ulp
         diag = np.diag(fock.a_dag @ fock.a)
         exact = np.array([fock.a[n - 1, n] ** 2 if n else 0.0 for n in range(dim)])
+        dev = float(np.max(np.abs(diag - exact) / np.maximum(np.abs(exact), np.finfo(float).tiny)))
         results.append(
-            CheckResult("number-diagonal", bool(np.array_equal(diag, exact)), f"{tag}")
+            CheckResult("number-diagonal", dev <= 4.0 * np.finfo(float).eps, f"{tag} dev={dev:.3e}")
         )
 
         dev = max(
@@ -293,6 +296,17 @@ def _brute_norm(params, mu, z):
     raise RuntimeError("norm series did not converge")
 
 
+def _bessel_norm_lambda2(nu, r):
+    """lambda = 2 norm Gamma(nu+1) r^{-nu} I_nu(2r) for r > 0, from scipy's
+    exp-scaled ive (independent of the hyper0F series behind build_cs);
+    the e^{2r} factor joins the other powers in one exponent so nothing
+    overflows before the product is formed."""
+    from scipy.special import ive
+
+    x = 2.0 * r
+    return float(ive(nu, x)) * math.exp(x + math.lgamma(nu + 1.0) - nu * math.log(r))
+
+
 def suite_cs(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
     results = []
     rng = np.random.default_rng(seed)
@@ -351,9 +365,7 @@ def suite_cs(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
                 results.append(CheckResult("uncertainty-product", prod >= rhs - 1e-10, f"{ztag} prod={prod:.6g} rhs={rhs:.6g}"))
 
                 if lam == 2:
-                    nu = params.beta_bar[1] - 1.0 + mu
-                    y = abs(z) ** 2
-                    ref = math.gamma(nu + 1.0) * y ** (-nu / 2.0) * bessel_i(nu, 2.0 * math.sqrt(y))
+                    ref = _bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
                     dev = abs(ref - cs.norm_factor) / cs.norm_factor
                     results.append(CheckResult("cs-bessel-normalization", dev < 1e-10, f"{ztag} rel={dev:.3e}"))
 

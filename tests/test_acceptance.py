@@ -6,6 +6,7 @@ import math
 import time
 
 import numpy as np
+from scipy import special
 
 from cyclosc.algebra import (
     validate_params,
@@ -24,7 +25,6 @@ from cyclosc.sga import (
 from cyclosc.coherent import build_cs, normalization, eigen_residual, mittag_leffler_check
 from cyclosc.stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from cyclosc.measure import moment_target, weight_lambda2, weight_photon, moment_check
-from cyclosc.specfun import bessel_i
 from cyclosc.cli import main as cli_main
 
 DEFORMED = {2: [0.7, -0.7], 3: [-0.5, 0.25, 0.25], 4: [0.3, -0.1, 0.2, -0.4]}
@@ -122,14 +122,16 @@ def test_04_normalization_cross_checks():
         rel = abs(got - total) / total
         worst = max(worst, rel)
         assert rel < 1e-11
-    # lambda = 2 closed form: Gamma(nu+1) y^{-nu/2} I_nu(2 sqrt(y))
+    # lambda = 2 closed form: Gamma(nu+1) y^{-nu/2} I_nu(2 sqrt(y)), with
+    # I_nu(x) = ive(nu, x) e^x from scipy (independent of hyper0F)
     for a0 in (-0.5, 0.5, 2.0):
         p = validate_params(2, [a0, -a0])
         for mu in (0, 1):
             for r in (0.4, 1.0, 2.5):
                 nu = p.beta_bar[1] - 1.0 + mu
                 y = r * r
-                want = math.gamma(nu + 1.0) * y ** (-nu / 2.0) * bessel_i(nu, 2.0 * math.sqrt(y))
+                x = 2.0 * math.sqrt(y)
+                want = math.gamma(nu + 1.0) * y ** (-nu / 2.0) * special.ive(nu, x) * math.exp(x)
                 rel = abs(normalization(p, mu, r) - want) / want
                 worst = max(worst, rel)
                 assert rel < 1e-10

@@ -38,6 +38,18 @@ def test_validate_rejects_bad_input():
         validate_params(2, [0.5, -0.5, 0.0])
     with pytest.raises(ValueError, match="alpha_0"):
         validate_params(2, [-1.0, 1.0])  # F(1) = 0 closes the ladder
+
+
+@pytest.mark.parametrize("alpha", [
+    [float("nan"), float("nan")],
+    [float("inf"), float("-inf")],
+    [0.5, float("nan"), -0.5],
+    [float("-inf"), 0.0, 0.0],
+])
+def test_validate_rejects_nonfinite_alpha(alpha):
+    # NaN slips through both the zero-sum and the admissibility comparisons
+    with pytest.raises(ValueError, match="finite"):
+        validate_params(len(alpha), alpha)
     with pytest.raises(ValueError):
         validate_params(3, [-1.5, 1.0, 0.5])
 

@@ -32,6 +32,24 @@ def test_info_rejects_lambda_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan,auto", "inf,-inf", "0.5,nan,auto"])
+def test_info_nonfinite_alpha_is_bad_input(capsys, alpha):
+    lam = str(alpha.count(",") + 1)
+    code, out, err = run(capsys, "info", "--lambda", lam, "--alpha", alpha)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_sweep_nonfinite_input_is_bad_input(capsys):
+    base = ["sweep", "--lambda", "2", "--quantity", "var-x"]
+    for extra in (["--z-from", "nan", "--z-to", "1"], ["--z-from", "0", "--z-to", "inf+1j"],
+                  ["--alpha", "nan,auto", "--r-from", "0", "--r-to", "1"]):
+        code, out, err = run(capsys, *(base + extra))
+        assert code == 1, extra
+        assert err.startswith("error:") and "finite" in err
+
+
 def test_alpha_auto_completion(capsys):
     code, out, err = run(capsys, "info", "--lambda", "3", "--alpha", "0.5,-0.25,auto")
     assert code == 0
@@ -127,6 +145,16 @@ def test_verify_single_suite(tmp_path, capsys):
     text = out_file.read_text()
     assert "suite sga" in text
     assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("seed", [3, 5, 6, 13])
+def test_verify_commutators_passes_where_matmul_rounds(tmp_path, capsys, seed):
+    # these seeds draw alpha for which diag(a_dag @ a) differs from
+    # a[n-1, n]**2 in the last bit; number-diagonal allows 4 eps
+    out_file = tmp_path / "report.txt"
+    code = main(["verify", "--suite", "commutators", "--seed", str(seed), "--out", str(out_file)])
+    capsys.readouterr()
+    assert code == 0, out_file.read_text()
 
 
 def test_verify_catches_mutation(tmp_path, capsys, monkeypatch):

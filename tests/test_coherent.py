@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cyclosc.algebra import validate_params, build_fock_rep, random_admissible_alpha
 from cyclosc.sga import build_sga
@@ -13,7 +14,7 @@ from cyclosc.coherent import (
     eigen_residual,
     mittag_leffler_check,
 )
-from cyclosc.specfun import bessel_i, pochhammer
+from cyclosc.specfun import pochhammer
 
 
 def test_zero_label_is_sector_floor():
@@ -78,7 +79,8 @@ def test_normalization_bessel_form_lambda2():
         for mu in (0, 1):
             for r in (0.4, 1.0, 2.5):
                 nu = p.beta_bar[1] - 1.0 + mu
-                ref = math.gamma(nu + 1.0) * r ** (-nu) * bessel_i(nu, 2.0 * r)
+                # I_nu(2r) = ive(nu, 2r) e^{2r}, independent of hyper0F
+                ref = math.gamma(nu + 1.0) * r ** (-nu) * special.ive(nu, 2.0 * r) * math.exp(2.0 * r)
                 assert math.isclose(normalization(p, mu, r), ref, rel_tol=1e-10)
 
 
@@ -171,6 +173,15 @@ def test_truncation_error_paths():
         build_cs(p, 0, 50.0, max_levels=40)
     with pytest.raises(TruncationError):
         build_cs(p, 0, 3.0, n_max=10)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(float("inf"), 0.0), complex(1.0, float("-inf"))])
+def test_nonfinite_label_is_bad_input(z):
+    p = validate_params(2, [0.5, -0.5])
+    with pytest.raises(ValueError, match="finite"):
+        build_cs(p, 0, z)
+    with pytest.raises(ValueError, match="finite"):
+        build_cs(p, 1, z, n_max=20)
 
 
 def test_explicit_n_max_reproduces_adaptive():

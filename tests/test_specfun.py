@@ -1,14 +1,18 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
+import cyclosc
 from cyclosc.specfun import (
     pochhammer,
     hyper0F,
     mittag_leffler,
-    bessel_i,
     bessel_k,
 )
 
@@ -51,28 +55,26 @@ def test_hyper0F_tail_bound_is_honest():
         assert rough.terms_used <= sharp.terms_used
 
 
-def test_bessel_i_against_scipy():
-    for nu in (0.0, 0.25, 0.5, 1.0, 1.75, 3.0):
-        for x in (0.1, 1.0, 10.0):
-            assert math.isclose(bessel_i(nu, x), float(special.iv(nu, x)), rel_tol=1e-12)
+def test_bessel_k_against_mpmath():
+    # x = 700 sits where unscaled kv already flushes to zero but K_nu(x)
+    # is still a normal double (about 4.7e-306)
+    for nu in (-0.99, -0.5, 0.0, 0.5, 1.9, 4.0):
+        for x in (1e-6, 1e-3, 0.2, 1.0, 5.0, 20.0, 100.0, 500.0, 700.0):
+            ref = float(mpmath.besselk(nu, x))
+            assert math.isclose(bessel_k(nu, x), ref, rel_tol=1e-13), (nu, x)
 
 
-def test_bessel_i_zero_argument():
-    assert bessel_i(0.0, 0.0) == 1.0
-    assert bessel_i(1.5, 0.0) == 0.0
-
-
-def test_bessel_k_against_scipy():
-    for nu in (0.0, 0.3, 1.0, 2.5):
-        for x in (0.2, 1.0, 5.0, 20.0):
-            assert math.isclose(bessel_k(nu, x), float(special.kv(nu, x)), rel_tol=1e-10)
+def test_bessel_k_underflows_to_zero():
+    # K_0(750) ~ 1.3e-327 is below the smallest subnormal double
+    assert bessel_k(0.0, 750.0) == 0.0
+    assert bessel_k(4.0, 1e4) == 0.0
 
 
 def test_bessel_wronskian():
     # I_nu(x) K_{nu+1}(x) + I_{nu+1}(x) K_nu(x) = 1/x
     for nu in (0.0, 0.4, 1.2):
         for x in (0.5, 2.0, 8.0):
-            lhs = bessel_i(nu, x) * bessel_k(nu + 1, x) + bessel_i(nu + 1, x) * bessel_k(nu, x)
+            lhs = special.iv(nu, x) * bessel_k(nu + 1, x) + special.iv(nu + 1, x) * bessel_k(nu, x)
             assert math.isclose(lhs, 1.0 / x, rel_tol=1e-10)
 
 
@@ -81,6 +83,8 @@ def test_bessel_k_requires_positive_argument():
         bessel_k(0.5, 0.0)
     with pytest.raises(ValueError):
         bessel_k(0.5, -1.0)
+    with pytest.raises(ValueError):
+        bessel_k(0.5, float("nan"))
 
 
 def test_mittag_leffler_classical_reductions():
@@ -106,3 +110,14 @@ def test_mittag_leffler_rejects_bad_parameters():
         mittag_leffler(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         mittag_leffler(1.0, -1.0, 1.0)
+
+
+def test_import_leaves_scipy_integrate_and_special_unloaded():
+    src = str(Path(cyclosc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import cyclosc; "
+        "print(','.join(m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == ""
