@@ -2,9 +2,9 @@
 
 The ladder pair obeys [a, a†] = I + sum_mu alpha_mu P_mu with zero-sum
 deformation parameters alpha_mu attached to the residue classes
-n ≡ mu (mod lambda).  The package builds truncated matrix representations,
-extracts the polynomial spectrum-generating algebra closed by
-J+ = a†^lambda / lambda, J- = a^lambda / lambda, J0 = h0 / lambda,
+n ≡ mu (mod lambda).  The package applies the ladder operators as shifts,
+takes the polynomial spectrum-generating algebra closed by J+ = a†^lambda /
+lambda, J- = a^lambda / lambda, J0 = h0 / lambda from its root form,
 constructs the eigenstates of J- sector by sector, evaluates their photon
 statistics and quadrature squeezing, and checks the radial measures that
 resolve the identity over each sector.

@@ -5,12 +5,12 @@ P_mu projects onto the Fock levels n ≡ mu (mod lambda) and the deformation
 parameters alpha_mu sum to zero.  Everything is controlled by the structure
 function F(n) = n + beta_{n mod lambda} with beta_mu the partial sums of
 alpha; a|n> = sqrt(F(n)) |n-1>.  This module validates parameters and builds
-dense truncated matrix representations of all operators.
+the ladder amplitudes sqrt(F(n)) and sqrt(n), which apply a, a† and their
+canonical counterparts to state vectors as vectorised shifts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,23 +44,31 @@ class AlgebraParams:
 
 @dataclass(frozen=True)
 class FockRep:
-    """Truncated matrix representation on the basis |0> ... |n_max>.
+    """Ladder amplitudes on the basis |0> ... |n_max>.
 
-    a/a_dag are the deformed ladder pair, b/b_dag the canonical one sharing
-    the same number operator.  h0 = (a a† + a† a)/2.  Identities involving
-    a a† hold only on rows/cols 0..n_max-1; the last row is a truncation
-    artifact.
+    sqrt_f[n] = sqrt(F(n)) is the amplitude of a|n> = sqrt(F(n)) |n-1> for the
+    deformed pair; sqrt_n[n] = sqrt(n) is that of the canonical pair (b, b†)
+    sharing the same number operator.  "dressed" selects the first, "real"
+    the second.  Shifts act on the truncated space: raising |n_max> drops out.
     """
 
     params: AlgebraParams
     n_max: int
-    n_op: np.ndarray
-    a: np.ndarray
-    a_dag: np.ndarray
-    b: np.ndarray
-    b_dag: np.ndarray
-    projectors: tuple
-    h0: np.ndarray
+    sqrt_f: np.ndarray
+    sqrt_n: np.ndarray
+
+    def _amplitudes(self, kind: str) -> np.ndarray:
+        if kind not in ("dressed", "real"):
+            raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
+        return self.sqrt_f if kind == "dressed" else self.sqrt_n
+
+    def lower(self, v, kind: str = "dressed") -> np.ndarray:
+        """a v (b v for kind='real'): (a v)[n-1] = amp[n] v[n]."""
+        return np.append(self._amplitudes(kind)[1:] * v[1:], 0.0)
+
+    def raise_(self, v, kind: str = "dressed") -> np.ndarray:
+        """a† v (b† v for kind='real'): (a† v)[n] = amp[n] v[n-1]."""
+        return np.append(0.0, self._amplitudes(kind)[1:] * v[:-1])
 
 
 def validate_params(lam: int, alpha) -> AlgebraParams:
@@ -98,9 +106,10 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     return AlgebraParams(lam, alpha, beta, beta_bar, gamma)
 
 
-def structure_function(params: AlgebraParams, n: int) -> float:
-    """F(n) = n + beta_{n mod lambda}; F(0) = 0 and F(n) > 0 for n >= 1."""
-    return float(n + params.beta[n % params.lam])
+def structure_function(params: AlgebraParams, n):
+    """F(n) = n + beta_{n mod lambda}, elementwise for an array of levels;
+    F(0) = 0 and F(n) > 0 for n >= 1."""
+    return n + params.beta[n % params.lam]
 
 
 def energy(params: AlgebraParams, n: int) -> float:
@@ -112,24 +121,11 @@ def energy(params: AlgebraParams, n: int) -> float:
 
 
 def build_fock_rep(params: AlgebraParams, n_max: int) -> FockRep:
-    """Build all operator matrices on |0> ... |n_max> (n_max >= lambda)."""
+    """Ladder amplitudes on |0> ... |n_max> (n_max >= lambda)."""
     if n_max < params.lam:
         raise ValueError(f"n_max must be at least lambda = {params.lam}, got {n_max}")
-    dim = n_max + 1
-    a = np.zeros((dim, dim))
-    b = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(structure_function(params, n))
-        b[n - 1, n] = math.sqrt(n)
-    a_dag = a.T.copy()
-    b_dag = b.T.copy()
-    n_op = np.diag(np.arange(dim, dtype=float))
-    projectors = tuple(
-        np.diag((np.arange(dim) % params.lam == mu).astype(float))
-        for mu in range(params.lam)
-    )
-    h0 = 0.5 * (a @ a_dag + a_dag @ a)
-    return FockRep(params, n_max, n_op, a, a_dag, b, b_dag, projectors, h0)
+    n = np.arange(n_max + 1)
+    return FockRep(params, n_max, np.sqrt(structure_function(params, n)), np.sqrt(n.astype(float)))
 
 
 def random_admissible_alpha(lam: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import AlgebraParams, validate_params, build_fock_rep, energy
 from .sga import (
     build_sga,
+    extraction_n_max,
     extract_f_poly,
     extract_h_poly_and_casimir,
     closed_form_f,
@@ -170,8 +171,7 @@ def cmd_info(args) -> int:
 def cmd_sga(args) -> int:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
     lam = params.lam
-    n_max = 3 * lam * lam + 2 * lam
-    sga = build_sga(build_fock_rep(params, n_max))
+    sga = build_sga(build_fock_rep(params, extraction_n_max(lam)))
     s = extract_f_poly(sga)
     poly = extract_h_poly_and_casimir(sga, s)
 

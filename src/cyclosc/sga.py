@@ -7,9 +7,16 @@ polynomial deformation of su(1,1):
 
 with f of degree lambda-1 in J_0 and sector-dependent coefficients.  The
 Casimir C = J_- J_+ + h(J_0, P_mu) = J_+ J_- + h - f is constant on each
-sector, with h of degree lambda.  This module extracts f, h, and the Casimir
-eigenvalues numerically by exact interpolation on interior eigenvalues, and
-provides the lambda = 2, 3 closed forms for golden comparisons.
+sector, with h of degree lambda.
+
+J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
+prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n>; on sector mu each equals
+lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod
+lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
+f, h and the Casimir eigenvalues are expanded from those roots and validated
+against the products level by level; lambda = 2, 3 closed forms serve as
+goldens.  The products overflow double precision from about lambda = 74
+(lambda <= 73 works at alpha = 0), and build_sga then raises RuntimeError.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); both closed-form cases below share that
@@ -22,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FockRep, AlgebraParams, energy
+from .algebra import FockRep, AlgebraParams, structure_function
 
 __all__ = [
     "SgaRep",
     "SgaPolynomials",
+    "extraction_n_max",
     "build_sga",
     "extract_f_poly",
     "extract_h_poly_and_casimir",
@@ -38,21 +46,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SgaRep:
+    """Diagonals of J_0 (j0), J_+ J_- (jp_jm) and J_- J_+ (jm_jp) on |0> ... |fock.n_max>,
+    taken from the parameters, so the top levels carry no truncation artifact."""
+
     fock: FockRep
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_zero: np.ndarray
+    j0: np.ndarray
+    jp_jm: np.ndarray
+    jm_jp: np.ndarray
 
 
 @dataclass(frozen=True)
 class SgaPolynomials:
-    """Fitted coefficients, ascending powers of J_0.
+    """Coefficients in ascending powers of J_0.
 
     s[mu][i] — coefficient of J_0^i in f on sector mu (degree lambda-1),
     t[mu][i] — coefficient of J_0^i in h on sector mu (degree lambda, t[mu][0] = 0),
     c[mu]    — Casimir eigenvalue on sector mu.
-    f_residual/h_residual — worst deviation at the extra interior validation
-    nodes (beyond the interpolation nodes).
+    f_residual/h_residual — worst relative deviation from the diagonal
+    products at the validation levels.
     """
 
     s: np.ndarray
@@ -62,141 +73,121 @@ class SgaPolynomials:
     h_residual: np.ndarray
 
 
+def extraction_n_max(lam: int) -> int:
+    """Truncation with room for validation at k up to 3*lam - 1 in every sector."""
+    return 3 * lam * lam + 2 * lam
+
+
 def build_sga(fock: FockRep) -> SgaRep:
-    """Form J_± and J_0 from a Fock representation (n_max >= 4*lambda)."""
-    lam = fock.params.lam
+    """Form the J_0, J_+ J_- and J_- J_+ diagonals (n_max >= 4*lambda)."""
+    params = fock.params
+    lam = params.lam
     if fock.n_max < 4 * lam:
         raise ValueError(
             f"n_max = {fock.n_max} too small for SGA extraction: need >= {4 * lam}"
         )
-    j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
-    j_minus = np.linalg.matrix_power(fock.a, lam) / lam
-    j_zero = fock.h0 / lam
-    return SgaRep(fock, j_plus, j_minus, j_zero)
+    n = np.arange(fock.n_max + 1)
+    prods = []
+    for shifts in (range(0, -lam, -1), range(1, lam + 1)):
+        out = np.full(n.shape, 1.0 / (lam * lam))
+        with np.errstate(over="ignore"):
+            for j in shifts:
+                out *= structure_function(params, np.maximum(n + j, 0))  # F(0) = 0 ends lowering
+        if not np.all(np.isfinite(out)):
+            raise RuntimeError(
+                f"SGA products overflow double precision at lambda = {lam}, n_max = {fock.n_max}"
+            )
+        prods.append(out)
+    return SgaRep(fock, (n + params.gamma[n % lam] + 0.5) / lam, *prods)
 
 
-def _interp_monomial(xs, ys) -> np.ndarray:
-    """Newton divided-difference interpolation through (xs, ys), expanded to
-    monomial coefficients in ascending powers.  Degrees here are tiny
-    (<= lambda), so the expansion is well conditioned."""
-    xs = np.asarray(xs, dtype=float)
-    n = xs.size
-    coef = np.asarray(ys, dtype=float).copy()
-    for j in range(1, n):
-        coef[j:n] = (coef[j:n] - coef[j - 1:n - 1]) / (xs[j:n] - xs[0:n - j])
-    mono = np.zeros(n)
-    mono[0] = coef[n - 1]
-    deg = 0
-    for i in range(n - 2, -1, -1):
-        shifted = np.zeros(n)
-        shifted[1:deg + 2] = mono[0:deg + 1]
-        shifted[0:deg + 1] -= xs[i] * mono[0:deg + 1]
-        shifted[0] += coef[i]
-        mono = shifted
-        deg += 1
-    return mono
+def _polyval(x, coeffs):
+    return np.polynomial.polynomial.polyval(x, coeffs)  # loads numpy.polynomial on first use
 
 
-def _peval(mono, x: float) -> float:
-    return float(np.polynomial.polynomial.polyval(x, mono))
+def _root_poly(params: AlgebraParams, mu: int, shifts) -> np.ndarray:
+    """lambda^{lambda-2} prod_j (J_0 - r_j) over the shifts, ascending in J_0."""
+    lam = params.lam
+    roots = [(params.gamma[mu] + 0.5 - j - params.beta[(mu + j) % lam]) / lam for j in shifts]
+    return float(lam) ** (lam - 2) * np.polynomial.polynomial.polyfromroots(roots)
 
 
-def _j0_eigenvalue(params: AlgebraParams, n: int) -> float:
-    return energy(params, n) / params.lam
+def _nodes(sga: SgaRep, mu: int, k_min: int, what: str) -> np.ndarray:
+    """Levels k lambda + mu, k <= 3 lambda - 1, that keep n + lambda <= n_max."""
+    lam = sga.fock.params.lam
+    n_max = sga.fock.n_max
+    k_avail = (n_max - lam - mu) // lam
+    if k_avail < k_min:
+        raise ValueError(
+            f"n_max = {n_max} leaves too few interior levels in sector {mu} "
+            f"to fit {what} (need k up to {k_min}, have {k_avail})"
+        )
+    return np.arange(min(3 * lam - 1, k_avail) + 1) * lam + mu
+
+
+def _f_residual(sga: SgaRep, s_mu: np.ndarray, ns: np.ndarray, mu: int) -> float:
+    """Worst relative deviation of f from [J_+, J_-] at the levels ns."""
+    comm = sga.jp_jm[ns] - sga.jm_jp[ns]
+    resid = np.max(np.abs(_polyval(sga.j0[ns], s_mu) - comm) / np.maximum(1.0, np.abs(comm)))
+    if not resid < 1e-8:  # 'not <' so that a NaN residual fails too
+        raise RuntimeError(
+            f"[J_+, J_-] is not a degree-{s_mu.size - 1} polynomial in J_0 on "
+            f"sector {mu} (validation residual {resid:.3e})"
+        )
+    return float(resid)
 
 
 def extract_f_poly(sga: SgaRep) -> np.ndarray:
-    """Fit, per sector, the degree-(lambda-1) polynomial with
-    [J_+, J_-] = f(J_0), interpolating at the lambda smallest interior levels
-    and validating the fit at every further interior level up to k = 3*lambda-1.
+    """Per sector, the degree-(lambda-1) polynomial with [J_+, J_-] = f(J_0),
+    the difference of the two root-form products, validated against the
+    diagonal products at every level k lambda + mu with k <= 3*lambda-1.
 
     Returns the (lambda, lambda) coefficient array s.  A relative residual
-    above 1e-8 at a validation node means the commutator is not polynomial of
-    the expected degree and raises (implementation-bug signal).
+    that is not below 1e-8 means the commutator is not polynomial of the
+    expected degree and raises (implementation-bug signal).
     """
-    s, _ = _fit_f(sga)
+    params = sga.fock.params
+    lam = params.lam
+    s = np.zeros((lam, lam))
+    for mu in range(lam):
+        ns = _nodes(sga, mu, lam - 1, "f")
+        p_low = _root_poly(params, mu, range(0, -lam, -1))
+        s[mu] = (p_low - _root_poly(params, mu, range(1, lam + 1)))[:lam]
+        _f_residual(sga, s[mu], ns, mu)
     return s
 
 
-def _fit_f(sga: SgaRep):
-    fock = sga.fock
-    params = fock.params
-    lam = params.lam
-    n_max = fock.n_max
-    comm_diag = np.diag(sga.j_plus @ sga.j_minus - sga.j_minus @ sga.j_plus)
-    s = np.zeros((lam, lam))
-    resid = np.zeros(lam)
-    for mu in range(lam):
-        # commutator diagonal is uncontaminated only where n + lam <= n_max
-        k_avail = (n_max - lam - mu) // lam
-        if k_avail < lam - 1:
-            raise ValueError(
-                f"n_max = {n_max} leaves too few interior levels in sector {mu} "
-                f"to fit f (need k up to {lam - 1}, have {k_avail})"
-            )
-        ns = np.arange(lam) * lam + mu
-        xs = [_j0_eigenvalue(params, n) for n in ns]
-        mono = _interp_monomial(xs, comm_diag[ns])
-        worst = 0.0
-        for k in range(lam, min(3 * lam - 1, k_avail) + 1):
-            n = k * lam + mu
-            scale = max(1.0, abs(comm_diag[n]))
-            worst = max(worst, abs(_peval(mono, _j0_eigenvalue(params, n)) - comm_diag[n]) / scale)
-        if worst >= 1e-8:
-            raise RuntimeError(
-                f"[J_+, J_-] is not a degree-{lam - 1} polynomial in J_0 on "
-                f"sector {mu} (validation residual {worst:.3e})"
-            )
-        s[mu] = mono
-        resid[mu] = worst
-    return s, resid
-
-
 def extract_h_poly_and_casimir(sga: SgaRep, s: np.ndarray) -> SgaPolynomials:
-    """Fit, per sector, the degree-lambda polynomial h with J_- J_+ + h(J_0)
+    """Per sector, the degree-lambda polynomial h with J_- J_+ + h(J_0)
     constant, pinning h(0) = 0 so the constant is the Casimir eigenvalue c_mu.
 
-    Validates constancy at every further interior level up to k = 3*lambda-1
-    and cross-checks the second Casimir form J_+ J_- + h - f at the same
-    levels, both to 1e-8 relative to the local magnitude.
+    Validates constancy at every level k lambda + mu with k <= 3*lambda-1 and
+    cross-checks the second Casimir form J_+ J_- + h - f at the same levels,
+    both to 1e-8 relative to the local magnitude; f = s is validated there too.
     """
-    fock = sga.fock
-    params = fock.params
+    params = sga.fock.params
     lam = params.lam
-    n_max = fock.n_max
-    g_diag = np.diag(sga.j_minus @ sga.j_plus)       # valid for n + lam <= n_max
-    g2_diag = np.diag(sga.j_plus @ sga.j_minus)      # valid for all n <= n_max
-    _, f_resid = _fit_f(sga)
     t = np.zeros((lam, lam + 1))
     c = np.zeros(lam)
+    f_resid = np.zeros(lam)
     h_resid = np.zeros(lam)
     for mu in range(lam):
-        k_avail = (n_max - lam - mu) // lam
-        if k_avail < lam:
-            raise ValueError(
-                f"n_max = {n_max} leaves too few interior levels in sector {mu} "
-                f"to fit h (need k up to {lam}, have {k_avail})"
-            )
-        ns = np.arange(lam + 1) * lam + mu
-        xs = [_j0_eigenvalue(params, n) for n in ns]
-        mono_g = _interp_monomial(xs, g_diag[ns])    # J_- J_+ eigenvalue as poly in j0
-        c[mu] = mono_g[0]
-        t[mu, 1:] = -mono_g[1:]
-        worst = 0.0
-        for k in range(0, min(3 * lam - 1, k_avail) + 1):
-            n = k * lam + mu
-            j0 = _j0_eigenvalue(params, n)
-            h_val = _peval(t[mu], j0)
-            scale = max(1.0, abs(g_diag[n]))
-            worst = max(worst, abs(g_diag[n] + h_val - c[mu]) / scale)
-            second = g2_diag[n] + h_val - _peval(s[mu], j0)
-            worst = max(worst, abs(second - c[mu]) / scale)
-        if worst >= 1e-8:
+        ns = _nodes(sga, mu, lam, "h")
+        f_resid[mu] = _f_residual(sga, s[mu], ns, mu)
+        g_poly = _root_poly(params, mu, range(1, lam + 1))   # J_- J_+ = c - h
+        c[mu] = g_poly[0]
+        t[mu, 1:] = -g_poly[1:]
+        x = sga.j0[ns]
+        g = sga.jm_jp[ns]
+        h_val = _polyval(x, t[mu])
+        second = sga.jp_jm[ns] + h_val - _polyval(x, s[mu])
+        dev = np.maximum(np.abs(g + h_val - c[mu]), np.abs(second - c[mu]))
+        h_resid[mu] = np.max(dev / np.maximum(1.0, np.abs(g)))
+        if not h_resid[mu] < 1e-8:
             raise RuntimeError(
                 f"J_- J_+ + h(J_0) is not constant on sector {mu} "
-                f"(worst deviation {worst:.3e})"
+                f"(worst deviation {h_resid[mu]:.3e})"
             )
-        h_resid[mu] = worst
     return SgaPolynomials(np.asarray(s, dtype=float), t, c, f_resid, h_resid)
 
 

@@ -59,12 +59,12 @@ def _check_pair(cs: CoherentState, fock: FockRep) -> None:
         raise ValueError("state and representation use different lambda")
 
 
-def _ladder(fock: FockRep, kind: str):
-    if kind == "dressed":
-        return fock.a, fock.a_dag
-    if kind == "real":
-        return fock.b, fock.b_dag
-    raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
+def _number_moments(cs: CoherentState):
+    """<N> and <(ΔN)^2>."""
+    p = np.abs(cs.coeffs) ** 2
+    n = np.arange(p.size)
+    mean = float(np.dot(p, n))
+    return mean, float(np.dot(p, n * n)) - mean * mean
 
 
 def mandel_q(cs: CoherentState, fock: FockRep) -> Optional[float]:
@@ -74,12 +74,9 @@ def mandel_q(cs: CoherentState, fock: FockRep) -> Optional[float]:
     Negative Q means sub-Poissonian number statistics (antibunching),
     positive super-Poissonian (bunching)."""
     _check_pair(cs, fock)
-    p = np.abs(cs.coeffs) ** 2
-    n = np.arange(p.size)
-    mean = float(np.dot(p, n))
+    mean, var = _number_moments(cs)
     if mean < 1e-12:
         return None
-    var = float(np.dot(p, n * n)) - mean * mean
     return (var - mean) / mean
 
 
@@ -89,16 +86,21 @@ def quadrature_stats(cs: CoherentState, fock: FockRep, kind: str = "dressed") ->
     Fourth moments are plain central moments <(x - <x>)^4>, computed as the
     squared norm of (x - <x>)^2 |v> so they are nonnegative by construction."""
     _check_pair(cs, fock)
-    lo, hi = _ladder(fock, kind)
-    x = (hi + lo) / np.sqrt(2.0)
-    p = 1j * (hi - lo) / np.sqrt(2.0)
+
+    def apply_x(u):
+        return (fock.raise_(u, kind) + fock.lower(u, kind)) / np.sqrt(2.0)
+
+    def apply_p(u):
+        return 1j * (fock.raise_(u, kind) - fock.lower(u, kind)) / np.sqrt(2.0)
+
     v = cs.coeffs
     out = []
-    for op in (x, p):
-        mean = float(np.real(np.vdot(v, op @ v)))
-        w1 = op @ v - mean * v
+    for op in (apply_x, apply_p):
+        w1 = op(v)
+        mean = float(np.real(np.vdot(v, w1)))
+        w1 -= mean * v
         var = float(np.real(np.vdot(w1, w1)))
-        w2 = op @ w1 - mean * w1
+        w2 = op(w1) - mean * w1
         m4 = float(np.real(np.vdot(w2, w2)))
         out.append((mean, var, m4))
     (mx, vx, x4), (mp, vp, p4) = out
@@ -134,10 +136,7 @@ def squeeze_ratios(cs: CoherentState, fock: FockRep, kind: str = "dressed"):
 def stats_report(cs: CoherentState, fock: FockRep) -> StatsReport:
     """Bundle every diagnostic for one state."""
     _check_pair(cs, fock)
-    p = np.abs(cs.coeffs) ** 2
-    n = np.arange(p.size)
-    mean_n = float(np.dot(p, n))
-    var_n = float(np.dot(p, n * n)) - mean_n * mean_n
+    mean_n, var_n = _number_moments(cs)
     return StatsReport(
         mean_n=mean_n,
         var_n=var_n,

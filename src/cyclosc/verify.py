@@ -1,7 +1,7 @@
 """Invariant suites (commutators, sga, cs, measure) over built-in parameter
-sets plus seeded random admissible draws, and independent series-route
-implementations of the expectation values used to cross-check the matrix
-quadratic forms.
+sets plus seeded random admissible draws, and the independent reference
+route they compare production results with: dense truncated operator
+matrices, their lambda-th powers and quadratic forms (production forms none).
 
 Every check returns a CheckResult; the CLI turns the list into a report and
 an exit code.  Representations are always rebuilt through the algebra module
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +21,15 @@ from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import (
     build_sga,
+    extraction_n_max,
     extract_f_poly,
     extract_h_poly_and_casimir,
     closed_form_f,
     closed_form_h,
     closed_form_casimir,
 )
-from .coherent import build_cs, eigen_residual, mittag_leffler_check, normalization
-from .stats import QuadratureMoments, mandel_q, quadrature_stats, uncertainty_rhs
+from .coherent import build_cs, eigen_residual, mittag_leffler_check
+from .stats import QuadratureMoments, quadrature_stats, uncertainty_rhs
 from .measure import (
     moment_target,
     weight_lambda2,
@@ -36,12 +38,13 @@ from .measure import (
     unity_reconstruction,
     angular_offdiagonal,
 )
-from .specfun import pochhammer
 
 __all__ = [
     "CheckResult",
+    "DenseOperators",
+    "dense_operators",
+    "dense_quadrature_moments",
     "series_number_moments",
-    "series_quadrature_moments",
     "suite_commutators",
     "suite_sga",
     "suite_cs",
@@ -56,11 +59,6 @@ _BUILTIN = {
     4: [[0.0] * 4, [0.3, -0.1, 0.2, -0.4]],
     5: [[0.0] * 5],
 }
-
-
-def _std_n_max(lam: int) -> int:
-    # room for SGA residual validation at k up to 3*lam - 1 in every sector
-    return 3 * lam * lam + 2 * lam
 
 
 @dataclass
@@ -84,22 +82,44 @@ def _tag(lam, alpha) -> str:
 
 
 # ---------------------------------------------------------------------------
-# series-route expectation values (no operator matrices involved)
+# dense reference route
 
-def _apply_lower(params, v, kind):
-    out = np.zeros_like(v)
-    for n in range(1, v.size):
-        f = algebra.structure_function(params, n) if kind == "dressed" else float(n)
-        out[n - 1] = math.sqrt(f) * v[n]
-    return out
+DenseOperators = namedtuple("DenseOperators", "params n_max n_op a a_dag b b_dag projectors h0")
 
 
-def _apply_raise(params, v, kind):
-    out = np.zeros_like(v)
-    for n in range(1, v.size):
-        f = algebra.structure_function(params, n) if kind == "dressed" else float(n)
-        out[n] = math.sqrt(f) * v[n - 1]
-    return out
+def dense_operators(params, n_max: int) -> DenseOperators:
+    """Every operator matrix on |0> ... |n_max>, one F(n) at a time: the
+    deformed (a) and canonical (b) ladder pairs, N, the P_mu and h0 = (a a† +
+    a† a)/2.  Products with a a† are truncation artifacts in the last row."""
+    dim = n_max + 1
+    a = np.zeros((dim, dim))
+    b = np.zeros((dim, dim))
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(algebra.structure_function(params, n))
+        b[n - 1, n] = math.sqrt(n)
+    a_dag = a.T.copy()
+    b_dag = b.T.copy()
+    n_op = np.diag(np.arange(dim, dtype=float))
+    projectors = tuple(
+        np.diag((np.arange(dim) % params.lam == mu).astype(float))
+        for mu in range(params.lam)
+    )
+    h0 = 0.5 * (a @ a_dag + a_dag @ a)
+    return DenseOperators(params, n_max, n_op, a, a_dag, b, b_dag, projectors, h0)
+
+
+def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed") -> QuadratureMoments:
+    """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
+    for the matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real')."""
+    lo, hi = (ops.a, ops.a_dag) if kind == "dressed" else (ops.b, ops.b_dag)
+    v = np.asarray(coeffs, dtype=complex)
+    out = []
+    for op in ((hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)):
+        mean = float(np.real(np.vdot(v, op @ v)))
+        c2 = np.linalg.matrix_power(op - mean * np.eye(v.size), 2)
+        out.append((mean, float(np.real(np.vdot(v, c2 @ v))), float(np.real(np.vdot(v, c2 @ c2 @ v)))))
+    (mx, vx, x4), (mp, vp, p4) = out
+    return QuadratureMoments(mx, mp, vx, vp, x4, p4)
 
 
 def series_number_moments(params, coeffs):
@@ -113,41 +133,27 @@ def series_number_moments(params, coeffs):
     return mean, second
 
 
-def series_quadrature_moments(params, coeffs, kind="dressed") -> QuadratureMoments:
-    """Same moments as stats.quadrature_stats, evaluated by shifting the
-    coefficient vector directly (one sqrt(F) factor per shift) instead of
-    through operator matrices."""
-    v = np.asarray(coeffs, dtype=complex)
-
-    def apply_x(u):
-        return (_apply_raise(params, u, kind) + _apply_lower(params, u, kind)) / math.sqrt(2.0)
-
-    def apply_p(u):
-        return 1j * (_apply_raise(params, u, kind) - _apply_lower(params, u, kind)) / math.sqrt(2.0)
-
-    out = []
-    for op in (apply_x, apply_p):
-        mean = float(np.real(np.vdot(v, op(v))))
-        w1 = op(v) - mean * v
-        var = float(np.real(np.vdot(w1, w1)))
-        w2 = op(w1) - mean * w1
-        m4 = float(np.real(np.vdot(w2, w2)))
-        out.append((mean, var, m4))
-    (mx, vx, x4), (mp, vp, p4) = out
-    return QuadratureMoments(mx, mp, vx, vp, x4, p4)
-
-
 # ---------------------------------------------------------------------------
 # suites
 
 def suite_commutators(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
     results = []
+    rng = np.random.default_rng(seed)
     for lam, alpha in _param_sets(seed, n_random):
         params = validate_params(lam, alpha)
-        n_max = _std_n_max(lam)
-        fock = algebra.build_fock_rep(params, n_max)
+        n_max = extraction_n_max(lam)
+        fock = dense_operators(params, n_max)
         dim = n_max + 1
         tag = _tag(lam, alpha)
+
+        ladder = algebra.build_fock_rep(params, n_max)
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        dev = max(
+            float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+            for kind, lo, hi in (("dressed", fock.a, fock.a_dag), ("real", fock.b, fock.b_dag))
+            for got, want in ((ladder.lower(v, kind), lo @ v), (ladder.raise_(v, kind), hi @ v))
+        )
+        results.append(CheckResult("ladder-dense-agreement", dev <= 1e-15, f"{tag} rel_dev={dev:.3e}"))
 
         comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
         target = np.eye(dim) + sum(
@@ -208,17 +214,20 @@ def suite_sga(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
     results = []
     for lam, alpha in _param_sets(seed, n_random):
         params = validate_params(lam, alpha)
-        n_max = _std_n_max(lam)
-        fock = algebra.build_fock_rep(params, n_max)
-        sga = build_sga(fock)
+        n_max = extraction_n_max(lam)
+        fock = dense_operators(params, n_max)
+        j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
+        j_minus = np.linalg.matrix_power(fock.a, lam) / lam
+        j_zero = fock.h0 / lam
+        sga = build_sga(algebra.build_fock_rep(params, n_max))
         tag = _tag(lam, alpha)
 
         dev = float(np.max(np.abs(
-            (sga.j_zero @ sga.j_plus - sga.j_plus @ sga.j_zero - sga.j_plus)[: n_max - lam, : n_max - lam]
+            (j_zero @ j_plus - j_plus @ j_zero - j_plus)[: n_max - lam, : n_max - lam]
         )))
         results.append(CheckResult("j0-ladder-commutator", dev < 1e-10, f"{tag} dev={dev:.3e}"))
 
-        dev = max(float(np.linalg.norm(sga.j_minus[:, mu])) for mu in range(lam))
+        dev = max(float(np.linalg.norm(j_minus[:, mu])) for mu in range(lam))
         results.append(CheckResult("jminus-annihilates-sector-floor", dev == 0.0, f"{tag} dev={dev:.3e}"))
 
         try:
@@ -233,7 +242,7 @@ def suite_sga(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
         ))
 
         # Casimir constant across k = 0..3 per sector, from the matrices
-        g = np.diag(sga.j_minus @ sga.j_plus)
+        g = np.diag(j_minus @ j_plus)
         dev = 0.0
         for mu in range(lam):
             vals = []
@@ -247,7 +256,7 @@ def suite_sga(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
         results.append(CheckResult("casimir-constancy", dev < 1e-9, f"{tag} rel_sd={dev:.3e}"))
 
         dev = max(
-            abs(sga.j_zero[mu, mu] - (mu + params.gamma[mu] + 0.5) / lam) for mu in range(lam)
+            abs(j_zero[mu, mu] - (mu + params.gamma[mu] + 0.5) / lam) for mu in range(lam)
         )
         results.append(CheckResult("lowest-j0-eigenvalue", dev < 1e-12, f"{tag} dev={dev:.3e}"))
 
@@ -323,13 +332,13 @@ def suite_cs(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
             for z in zs:
                 cs = build_cs(params, mu, z)
                 fock = algebra.build_fock_rep(params, cs.n_max)
-                sga = build_sga(fock)
+                dense = dense_operators(params, cs.n_max)
                 ztag = f"{tag} mu={mu} z={z}"
 
-                res = eigen_residual(cs, sga)
+                res = eigen_residual(cs, build_sga(fock))
                 results.append(CheckResult("cs-eigen-residual", res < 1e-10, f"{ztag} resid={res:.3e}"))
 
-                w = np.linalg.matrix_power(fock.a, lam) @ cs.coeffs - lam * z * cs.coeffs
+                w = np.linalg.matrix_power(dense.a, lam) @ cs.coeffs - lam * z * cs.coeffs
                 w[cs.n_max - lam + 1:] = 0.0
                 res2 = float(np.linalg.norm(w) / lam / max(abs(z), 1.0))
                 results.append(CheckResult("cs-eigen-equivalent-form", abs(res2 - res) < 1e-12, f"{ztag}"))
@@ -348,7 +357,7 @@ def suite_cs(seed: int = 12345, tol: float = 1e-8, n_random: int = 20):
                 results.append(CheckResult("cs-phase-convention", ok, ztag))
 
                 mm = quadrature_stats(cs, fock, "dressed")
-                ss = series_quadrature_moments(params, cs.coeffs, "dressed")
+                ss = dense_quadrature_moments(dense, cs.coeffs, "dressed")
                 dev = max(
                     abs(mm.mean_x - ss.mean_x), abs(mm.mean_p - ss.mean_p),
                     abs(mm.var_x - ss.var_x), abs(mm.var_p - ss.var_p),

@@ -26,6 +26,7 @@ from cyclosc.coherent import build_cs, normalization, eigen_residual, mittag_lef
 from cyclosc.stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from cyclosc.measure import moment_target, weight_lambda2, weight_photon, moment_check
 from cyclosc.cli import main as cli_main
+from cyclosc.verify import dense_operators
 
 DEFORMED = {2: [0.7, -0.7], 3: [-0.5, 0.25, 0.25], 4: [0.3, -0.1, 0.2, -0.4]}
 
@@ -48,7 +49,7 @@ def test_01_commutation_relations():
         for _ in range(25):
             p = validate_params(lam, random_admissible_alpha(lam, rng))
             n_max = 4 * lam
-            fock = build_fock_rep(p, n_max)
+            fock = dense_operators(p, n_max)
             comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
             want = np.diag(1.0 + p.alpha[np.arange(n_max + 1) % lam])
             dev = np.max(np.abs((comm - want)[:n_max, :n_max]))

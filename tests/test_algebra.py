@@ -8,6 +8,7 @@ from cyclosc.algebra import (
     build_fock_rep,
     random_admissible_alpha,
 )
+from cyclosc.verify import dense_operators
 
 
 def test_derived_arrays_lambda2():
@@ -64,7 +65,7 @@ def test_commutator_identity_random():
     for lam in (2, 3, 4, 5):
         for _ in range(5):
             p = validate_params(lam, random_admissible_alpha(lam, rng))
-            fock = build_fock_rep(p, 20)
+            fock = dense_operators(p, 20)
             comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
             target = np.eye(21) + sum(
                 p.alpha[m] * fock.projectors[m] for m in range(lam)
@@ -74,7 +75,7 @@ def test_commutator_identity_random():
 
 def test_projector_shift_exact():
     p = validate_params(3, [0.2, -0.3, 0.1])
-    fock = build_fock_rep(p, 12)
+    fock = dense_operators(p, 12)
     for m in range(3):
         lhs = fock.a_dag @ fock.projectors[m]
         rhs = fock.projectors[(m + 1) % 3] @ fock.a_dag
@@ -83,7 +84,7 @@ def test_projector_shift_exact():
 
 def test_projectors_resolve_identity():
     p = validate_params(4, [0.3, -0.1, 0.2, -0.4])
-    fock = build_fock_rep(p, 17)
+    fock = dense_operators(p, 17)
     assert np.array_equal(sum(fock.projectors), np.eye(18))
     for m in range(4):
         for nu in range(4):
@@ -96,7 +97,7 @@ def test_projectors_resolve_identity():
 
 def test_number_diagonal_as_constructed():
     p = validate_params(4, [0.3, -0.1, 0.2, -0.4])
-    fock = build_fock_rep(p, 17)
+    fock = dense_operators(p, 17)
     diag = np.diag(fock.a_dag @ fock.a)
     expected = np.array([0.0] + [fock.a[n - 1, n] ** 2 for n in range(1, 18)])
     assert np.array_equal(diag, expected)
@@ -106,23 +107,36 @@ def test_number_diagonal_as_constructed():
 
 def test_alpha_zero_reduces_to_canonical_ladder():
     p = validate_params(3, [0.0, 0.0, 0.0])
-    fock = build_fock_rep(p, 10)
+    fock = dense_operators(p, 10)
     assert np.array_equal(fock.a, fock.b)
     assert np.array_equal(fock.a_dag, fock.b_dag)
 
 
 def test_parity_relations_lambda2():
     p = validate_params(2, [0.7, -0.7])
-    fock = build_fock_rep(p, 14)
+    fock = dense_operators(p, 14)
     k = np.diag((-1.0) ** np.arange(15))
     assert np.max(np.abs(k @ fock.a_dag + fock.a_dag @ k)) == 0.0
     comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
     assert np.max(np.abs((comm - np.eye(15) - 0.7 * k)[:14, :14])) < 1e-13
 
 
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_ladder_shifts_match_dense_matrices(lam):
+    rng = np.random.default_rng(lam)
+    p = validate_params(lam, random_admissible_alpha(lam, rng))
+    n_max = 4 * lam + 3
+    fock = build_fock_rep(p, n_max)
+    dense = dense_operators(p, n_max)
+    v = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
+    for kind, lo, hi in (("dressed", dense.a, dense.a_dag), ("real", dense.b, dense.b_dag)):
+        for got, want in ((fock.lower(v, kind), lo @ v), (fock.raise_(v, kind), hi @ v)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_h0_diagonal_matches_energy():
     p = validate_params(3, [-0.5, 0.25, 0.25])
-    fock = build_fock_rep(p, 15)
+    fock = dense_operators(p, 15)
     for n in range(15):  # the last diagonal entry is a truncation artifact
         assert abs(fock.h0[n, n] - energy(p, n)) < 1e-13
     off = fock.h0 - np.diag(np.diag(fock.h0))

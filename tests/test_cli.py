@@ -75,6 +75,23 @@ def test_sga_text_report(capsys):
     assert "closed-form max deviation" in out
 
 
+def test_sga_lambda17_extracts(capsys):
+    # the Newton-to-monomial fit missed its 1e-8 gate here (exit 3)
+    code, out, err = run(capsys, "sga", "--lambda", "17")
+    assert code == 0, err
+    assert "fit residuals" in out
+
+
+def test_sga_overflow_boundary(capsys):
+    code, out, err = run(capsys, "sga", "--lambda", "72", "--format", "csv")
+    assert code == 0, err
+    code, out, err = run(capsys, "sga", "--lambda", "80", "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "overflow" in err
+
+
 def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
     args = [
         "sweep", "--lambda", "2", "--alpha", "0.5,-0.5", "--mu", "1",

@@ -7,6 +7,7 @@ from scipy import special
 
 from cyclosc.algebra import validate_params, build_fock_rep, random_admissible_alpha
 from cyclosc.sga import build_sga
+from cyclosc.verify import dense_operators
 from cyclosc.coherent import (
     TruncationError,
     build_cs,
@@ -103,9 +104,8 @@ def test_eigen_residual_equivalent_form():
     p = validate_params(3, [-0.5, 0.25, 0.25])
     z = 1.2 + 0.7j
     cs = build_cs(p, 0, z)
-    fock = build_fock_rep(p, cs.n_max)
-    r1 = eigen_residual(cs, build_sga(fock))
-    w = np.linalg.matrix_power(fock.a, 3) @ cs.coeffs - 3 * z * cs.coeffs
+    r1 = eigen_residual(cs, build_sga(build_fock_rep(p, cs.n_max)))
+    w = np.linalg.matrix_power(dense_operators(p, cs.n_max).a, 3) @ cs.coeffs - 3 * z * cs.coeffs
     w[cs.n_max - 2:] = 0.0
     r2 = np.linalg.norm(w) / 3.0 / max(abs(z), 1.0)
     assert abs(r1 - r2) < 1e-13

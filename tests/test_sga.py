@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from cyclosc.sga import (
     closed_form_h,
     closed_form_casimir,
 )
+from cyclosc.verify import dense_operators
+from cyclosc.cli import main
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -25,6 +30,15 @@ def _sga(lam, alpha):
     return p, build_sga(build_fock_rep(p, 3 * lam * lam + 2 * lam))
 
 
+def _dense(lam, alpha):
+    p = validate_params(lam, alpha)
+    n_max = 3 * lam * lam + 2 * lam
+    ops = dense_operators(p, n_max)
+    j_plus = np.linalg.matrix_power(ops.a_dag, lam) / lam
+    j_minus = np.linalg.matrix_power(ops.a, lam) / lam
+    return p, n_max, (j_plus, j_minus, ops.h0 / lam)
+
+
 def test_build_requires_four_periods():
     p = validate_params(2, [0.0, 0.0])
     with pytest.raises(ValueError):
@@ -32,18 +46,18 @@ def test_build_requires_four_periods():
 
 
 def test_ladder_commutators_interior():
-    p, sga = _sga(3, [-0.5, 0.25, 0.25])
-    m = sga.fock.n_max - 3
-    comm = sga.j_zero @ sga.j_plus - sga.j_plus @ sga.j_zero
-    assert np.max(np.abs((comm - sga.j_plus)[:m, :m])) < 1e-10
-    comm = sga.j_zero @ sga.j_minus - sga.j_minus @ sga.j_zero
-    assert np.max(np.abs((comm + sga.j_minus)[:m, :m])) < 1e-10
+    p, n_max, (j_plus, j_minus, j_zero) = _dense(3, [-0.5, 0.25, 0.25])
+    m = n_max - 3
+    comm = j_zero @ j_plus - j_plus @ j_zero
+    assert np.max(np.abs((comm - j_plus)[:m, :m])) < 1e-10
+    comm = j_zero @ j_minus - j_minus @ j_zero
+    assert np.max(np.abs((comm + j_minus)[:m, :m])) < 1e-10
 
 
 def test_jminus_kills_sector_floors():
-    p, sga = _sga(4, [0.3, -0.1, 0.2, -0.4])
+    p, n_max, (j_plus, j_minus, j_zero) = _dense(4, [0.3, -0.1, 0.2, -0.4])
     for mu in range(4):
-        assert np.linalg.norm(sga.j_minus[:, mu]) == 0.0
+        assert np.linalg.norm(j_minus[:, mu]) == 0.0
 
 
 def test_lambda2_closed_forms():
@@ -94,16 +108,17 @@ def test_no_closed_forms_beyond_lambda3():
 
 
 def test_lowest_j0_eigenvalue_per_sector():
-    p, sga = _sga(3, [-0.9, -0.5, 1.4])
+    p, n_max, (j_plus, j_minus, j_zero) = _dense(3, [-0.9, -0.5, 1.4])
     for mu in range(3):
-        assert abs(sga.j_zero[mu, mu] - (mu + p.gamma[mu] + 0.5) / 3.0) < 1e-13
+        assert abs(j_zero[mu, mu] - (mu + p.gamma[mu] + 0.5) / 3.0) < 1e-13
 
 
 def test_casimir_constant_along_sectors():
     p, sga = _sga(4, [0.3, -0.1, 0.2, -0.4])
     s = extract_f_poly(sga)
     poly = extract_h_poly_and_casimir(sga, s)
-    g = np.diag(sga.j_minus @ sga.j_plus)
+    _, _, (j_plus, j_minus, _) = _dense(4, [0.3, -0.1, 0.2, -0.4])
+    g = np.diag(j_minus @ j_plus)
     for mu in range(4):
         vals = [
             g[k * 4 + mu] + polyval(energy(p, k * 4 + mu) / 4.0, poly.t[mu])
@@ -124,9 +139,9 @@ def test_h_pinned_at_zero():
 def test_tampered_representation_detected():
     p = validate_params(2, [0.5, -0.5])
     sga = build_sga(build_fock_rep(p, 16))
-    bad = sga.j_plus.copy()
-    bad[6, 4] *= 1.0 + 1e-5
-    tampered = SgaRep(sga.fock, bad, sga.j_minus, sga.j_zero)
+    bad = sga.jp_jm.copy()
+    bad[6] *= 1.0 + 1e-5
+    tampered = SgaRep(sga.fock, sga.j0, bad, sga.jm_jp)
     with pytest.raises(RuntimeError):
         s = extract_f_poly(tampered)
         extract_h_poly_and_casimir(tampered, s)
@@ -137,3 +152,64 @@ def test_extraction_needs_enough_levels():
     sga = build_sga(build_fock_rep(p, 16))  # passes the builder floor ...
     with pytest.raises(ValueError):        # ... but leaves too few fit nodes
         extract_f_poly(sga)
+
+
+def _rational_alpha(lam, rng):
+    # alpha on the grid k/20 with every F(mu) > 1/20; the last entry closes the sum
+    while True:
+        head = [Fraction(int(k), 20) for k in rng.integers(-17, 18, size=lam - 1)]
+        alpha = head + [-sum(head)]
+        if all(sum(alpha[:mu]) + mu > Fraction(1, 20) for mu in range(1, lam)):
+            return alpha
+
+
+def _exact_levels(alpha):
+    """At every level k lam + mu, k <= 3 lam - 1, yield mu, J_0 = X / D and the
+    numerators of J_+ J_- and J_- J_+ = prod F(n -+ j) / lam^2 over their common
+    denominator Q, all as integers (alpha on the grid 1/20, F = 0 from level 0 down)."""
+    lam = len(alpha)
+    beta20 = [int(20 * sum(alpha[:mu])) for mu in range(lam)] + [0]
+
+    def f20(n):
+        return 20 * n + beta20[n % lam] if n > 0 else 0
+
+    q = 20 ** lam * lam * lam
+    for mu in range(lam):
+        for k in range(3 * lam):
+            n = k * lam + mu
+            x = (40 * n + beta20[mu] + beta20[mu + 1] + 20, 40 * lam)
+            low = math.prod(f20(n - j) for j in range(lam))
+            high = math.prod(f20(n + j) for j in range(1, lam + 1))
+            yield mu, x, low, high, q
+
+
+def _agrees(coeffs, x, want):
+    """|sum c_i x^i - w| <= 1e-12 sum |c_i| |x|^i, exactly, for float c_i and
+    x = X / D, w = W / Q given as integer pairs."""
+    (xn, xd), (wn, wd) = x, want
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    scale = max(d for _, d in ratios)
+    deg = len(coeffs) - 1
+    terms = [num * (scale // d) * xn ** i * xd ** (deg - i) for i, (num, d) in enumerate(ratios)]
+    # both sides times scale * D^deg * Q
+    err = abs(sum(terms) * wd - wn * scale * xd ** deg)
+    return 10 ** 12 * err <= sum(abs(t) for t in terms) * wd
+
+
+@pytest.mark.parametrize("lam", range(2, 25))
+def test_exact_extraction_through_cli(lam, capsys):
+    rng = np.random.default_rng(lam)
+    for alpha in ([Fraction(0)] * lam, _rational_alpha(lam, rng), _rational_alpha(lam, rng)):
+        argv = ["sga", "--lambda", str(lam), "--format", "csv"]
+        if any(alpha):
+            argv.append("--alpha=" + ",".join(repr(float(a)) for a in alpha))
+        assert main(argv) == 0
+        got = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            kind, mu, power, value = line.split(",")
+            got[(kind, int(mu), int(power))] = float(value)
+        for mu, x, low, high, q in _exact_levels(alpha):
+            f = [got[("f", mu, i)] for i in range(lam)]
+            assert _agrees(f, x, (low - high, q)), (alpha, mu, x)
+            g = [got[("casimir", mu, 0)]] + [-got[("h", mu, i)] for i in range(1, lam + 1)]
+            assert _agrees(g, x, (high, q)), (alpha, mu, x)
