@@ -177,12 +177,10 @@ def cmd_sga(args) -> int:
 
     if args.format == "csv":
         lines = ["kind,mu,power,value"]
-        for mu in range(lam):
-            for i in range(lam):
-                lines.append(f"f,{mu},{i},{s[mu, i]:.17g}")
-            for i in range(lam + 1):
-                lines.append(f"h,{mu},{i},{poly.t[mu, i]:.17g}")
-            lines.append(f"casimir,{mu},0,{poly.c[mu]:.17g}")
+        for mu, (s_mu, t_mu, c_mu) in enumerate(zip(s.tolist(), poly.t.tolist(), poly.c.tolist())):
+            lines += [f"f,{mu},{i},{v:.17g}" for i, v in enumerate(s_mu)]
+            lines += [f"h,{mu},{i},{v:.17g}" for i, v in enumerate(t_mu)]
+            lines.append(f"casimir,{mu},0,{c_mu:.17g}")
     else:
         lines = [f"lambda: {lam}", "alpha: " + ", ".join(f"{v:.12g}" for v in params.alpha)]
         lines.append(f"fit residuals: f {poly.f_residual.max():.3e}, h {poly.h_residual.max():.3e}")

@@ -14,8 +14,9 @@ prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n>; on sector mu each equals
 lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod
 lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
 f, h and the Casimir eigenvalues are expanded from those roots and validated
-against the products level by level; lambda = 2, 3 closed forms serve as
-goldens.  The products overflow double precision from about lambda = 74
+against the products level by level, for all sectors at once (one coefficient
+array, one row-wise Horner pass); lambda = 2, 3 closed forms serve as goldens.
+The products overflow double precision from about lambda = 74
 (lambda <= 73 works at alpha = 0), and build_sga then raises RuntimeError.
 
 The constant term of h is fixed to zero (any constant can be traded between
@@ -101,40 +102,58 @@ def build_sga(fock: FockRep) -> SgaRep:
     return SgaRep(fock, (n + params.gamma[n % lam] + 0.5) / lam, *prods)
 
 
-def _polyval(x, coeffs):
-    return np.polynomial.polynomial.polyval(x, coeffs)  # loads numpy.polynomial on first use
-
-
-def _root_poly(params: AlgebraParams, mu: int, shifts) -> np.ndarray:
-    """lambda^{lambda-2} prod_j (J_0 - r_j) over the shifts, ascending in J_0."""
+def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:
+    """Row mu: lambda^{lambda-2} prod_j (J_0 - r_j) over the shifts, ascending in J_0."""
     lam = params.lam
-    roots = [(params.gamma[mu] + 0.5 - j - params.beta[(mu + j) % lam]) / lam for j in shifts]
-    return float(lam) ** (lam - 2) * np.polynomial.polynomial.polyfromroots(roots)
+    beta = params.beta[(np.arange(lam)[:, None] + shifts) % lam]
+    roots = (params.gamma[:, None] + 0.5 - shifts - beta) / lam
+    p = np.zeros((lam, lam + 1))
+    p[:, 0] = float(lam) ** (lam - 2)
+    for r in roots.T[:, :, None]:
+        p[:, 1:] = p[:, :-1] - r * p[:, 1:]
+        p[:, :1] *= -r
+    return p
 
 
-def _nodes(sga: SgaRep, mu: int, k_min: int, what: str) -> np.ndarray:
-    """Levels k lambda + mu, k <= 3 lambda - 1, that keep n + lambda <= n_max."""
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row mu of the ascending coeffs at row mu of x, with polyval's arithmetic."""
+    out = coeffs[:, -1:] + 0.0 * x
+    for col in coeffs[:, -2::-1].T:
+        out = out * x + col[:, None]
+    return out
+
+
+def _nodes(sga: SgaRep, k_min: int, what: str):
+    """Row mu: the levels k lambda + mu, k <= 3 lambda - 1, that keep n + lambda <= n_max
+    (a shorter row repeats its last level, which leaves its worst residual unchanged),
+    and the gate that asks for k up to k_min."""
     lam = sga.fock.params.lam
     n_max = sga.fock.n_max
+    mu = np.arange(lam)
     k_avail = (n_max - lam - mu) // lam
-    if k_avail < k_min:
-        raise ValueError(
-            f"n_max = {n_max} leaves too few interior levels in sector {mu} "
-            f"to fit {what} (need k up to {k_min}, have {k_avail})"
-        )
-    return np.arange(min(3 * lam - 1, k_avail) + 1) * lam + mu
+    ns = np.minimum(np.arange(3 * lam), k_avail[:, None]) * lam + mu[:, None]
+    return ns, (k_avail, k_avail >= k_min, ValueError,
+                f"n_max = {n_max} leaves too few interior levels in sector {{mu}} "
+                f"to fit {what} (need k up to {k_min}, have {{v}})")
 
 
-def _f_residual(sga: SgaRep, s_mu: np.ndarray, ns: np.ndarray, mu: int) -> float:
-    """Worst relative deviation of f from [J_+, J_-] at the levels ns."""
+def _raise_first(*gates) -> None:
+    """Each gate is (values, passed, exception type, message on mu and v).  Raise for the
+    first sector that fails a gate, and there for the first gate, as a sector loop would."""
+    failed = ~np.array([gate[1] for gate in gates])
+    if failed.any():
+        mu, i = np.argwhere(failed.T)[0]
+        values, _, exc, message = gates[i]
+        raise exc(message.format(mu=mu, v=values[mu]))
+
+
+def _f_gate(sga: SgaRep, s: np.ndarray, ns: np.ndarray):
+    """Per sector, the worst relative deviation of f from [J_+, J_-] at the levels ns."""
     comm = sga.jp_jm[ns] - sga.jm_jp[ns]
-    resid = np.max(np.abs(_polyval(sga.j0[ns], s_mu) - comm) / np.maximum(1.0, np.abs(comm)))
-    if not resid < 1e-8:  # 'not <' so that a NaN residual fails too
-        raise RuntimeError(
-            f"[J_+, J_-] is not a degree-{s_mu.size - 1} polynomial in J_0 on "
-            f"sector {mu} (validation residual {resid:.3e})"
-        )
-    return float(resid)
+    resid = np.max(np.abs(_horner(s, sga.j0[ns]) - comm) / np.maximum(1.0, np.abs(comm)), axis=1)
+    return (resid, resid < 1e-8, RuntimeError,  # '<' so that a NaN residual fails too
+            f"[J_+, J_-] is not a degree-{s.shape[1] - 1} polynomial in J_0 on "
+            "sector {mu} (validation residual {v:.3e})")
 
 
 def extract_f_poly(sga: SgaRep) -> np.ndarray:
@@ -148,12 +167,9 @@ def extract_f_poly(sga: SgaRep) -> np.ndarray:
     """
     params = sga.fock.params
     lam = params.lam
-    s = np.zeros((lam, lam))
-    for mu in range(lam):
-        ns = _nodes(sga, mu, lam - 1, "f")
-        p_low = _root_poly(params, mu, range(0, -lam, -1))
-        s[mu] = (p_low - _root_poly(params, mu, range(1, lam + 1)))[:lam]
-        _f_residual(sga, s[mu], ns, mu)
+    ns, enough = _nodes(sga, lam - 1, "f")
+    s = (_root_polys(params, -np.arange(lam)) - _root_polys(params, np.arange(1, lam + 1)))[:, :lam]
+    _raise_first(enough, _f_gate(sga, s, ns))
     return s
 
 
@@ -167,28 +183,21 @@ def extract_h_poly_and_casimir(sga: SgaRep, s: np.ndarray) -> SgaPolynomials:
     """
     params = sga.fock.params
     lam = params.lam
-    t = np.zeros((lam, lam + 1))
-    c = np.zeros(lam)
-    f_resid = np.zeros(lam)
-    h_resid = np.zeros(lam)
-    for mu in range(lam):
-        ns = _nodes(sga, mu, lam, "h")
-        f_resid[mu] = _f_residual(sga, s[mu], ns, mu)
-        g_poly = _root_poly(params, mu, range(1, lam + 1))   # J_- J_+ = c - h
-        c[mu] = g_poly[0]
-        t[mu, 1:] = -g_poly[1:]
-        x = sga.j0[ns]
-        g = sga.jm_jp[ns]
-        h_val = _polyval(x, t[mu])
-        second = sga.jp_jm[ns] + h_val - _polyval(x, s[mu])
-        dev = np.maximum(np.abs(g + h_val - c[mu]), np.abs(second - c[mu]))
-        h_resid[mu] = np.max(dev / np.maximum(1.0, np.abs(g)))
-        if not h_resid[mu] < 1e-8:
-            raise RuntimeError(
-                f"J_- J_+ + h(J_0) is not constant on sector {mu} "
-                f"(worst deviation {h_resid[mu]:.3e})"
-            )
-    return SgaPolynomials(np.asarray(s, dtype=float), t, c, f_resid, h_resid)
+    s = np.asarray(s, dtype=float)
+    ns, enough = _nodes(sga, lam, "h")
+    f_gate = _f_gate(sga, s, ns)
+    t = -_root_polys(params, np.arange(1, lam + 1))  # J_- J_+ = c - h
+    c = -t[:, 0]
+    t[:, 0] = 0.0
+    x, g = sga.j0[ns], sga.jm_jp[ns]
+    h_val = _horner(t, x)
+    second = sga.jp_jm[ns] + h_val - _horner(s, x)
+    dev = np.maximum(np.abs(g + h_val - c[:, None]), np.abs(second - c[:, None]))
+    h_resid = np.max(dev / np.maximum(1.0, np.abs(g)), axis=1)
+    _raise_first(enough, f_gate, (h_resid, h_resid < 1e-8, RuntimeError,
+                                  "J_- J_+ + h(J_0) is not constant on sector {mu} "
+                                  "(worst deviation {v:.3e})"))
+    return SgaPolynomials(s, t, c, f_gate[0], h_resid)
 
 
 def closed_form_f(params: AlgebraParams):
@@ -229,12 +238,7 @@ def closed_form_h(params: AlgebraParams):
         for mu in range(3):
             a0 = al[mu]
             a1 = al[(mu + 1) % 3]
-            t[mu] = [
-                0.0,
-                -(23 + 10 * a0 + 12 * a1 - a0 * a0) / 12.0,
-                -(9 + a0 + 2 * a1) / 2.0,
-                -3.0,
-            ]
+            t[mu] = [0.0, -(23 + 10 * a0 + 12 * a1 - a0 * a0) / 12.0, -(9 + a0 + 2 * a1) / 2.0, -3.0]
         return t
     return None
 
@@ -250,10 +254,6 @@ def closed_form_casimir(params: AlgebraParams):
     if lam == 2:
         return np.array([(1 + al[mu]) * (3 - al[mu]) / 16.0 for mu in range(2)])
     if lam == 3:
-        return np.array(
-            [
-                (1 + al[mu]) * (5 - al[mu]) * (3 + al[mu] + 2 * al[(mu + 1) % 3]) / 72.0
-                for mu in range(3)
-            ]
-        )
+        return np.array([(1 + al[mu]) * (5 - al[mu]) * (3 + al[mu] + 2 * al[(mu + 1) % 3]) / 72.0
+                         for mu in range(3)])
     return None

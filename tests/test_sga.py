@@ -18,11 +18,13 @@ from cyclosc.sga import (
     closed_form_f,
     closed_form_h,
     closed_form_casimir,
+    _root_polys,
 )
 from cyclosc.verify import dense_operators
 from cyclosc.cli import main
 
 polyval = np.polynomial.polynomial.polyval
+polyfromroots = np.polynomial.polynomial.polyfromroots
 
 
 def _sga(lam, alpha):
@@ -142,9 +144,41 @@ def test_tampered_representation_detected():
     bad = sga.jp_jm.copy()
     bad[6] *= 1.0 + 1e-5
     tampered = SgaRep(sga.fock, sga.j0, bad, sga.jm_jp)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="sector 0"):
         s = extract_f_poly(tampered)
         extract_h_poly_and_casimir(tampered, s)
+
+
+def test_each_sector_keeps_its_own_validation_levels():
+    # n_max = 40 at lambda = 4: sector 0 validates up to k = 9 (level 36),
+    # sectors 1-3 only up to k = 8, so level 36 is checked by sector 0 alone
+    p = validate_params(4, [0] * 4)
+    sga = build_sga(build_fock_rep(p, 40))
+    bad = sga.jp_jm.copy()
+    bad[36] *= 1.0 + 1e-5
+    tampered = SgaRep(sga.fock, sga.j0, bad, sga.jm_jp)
+    with pytest.raises(RuntimeError, match="on sector 0 "):
+        extract_f_poly(tampered)
+    with pytest.raises(RuntimeError, match="on sector 0 "):
+        extract_h_poly_and_casimir(tampered, extract_f_poly(sga))
+
+
+def _loop_root_poly(p, mu, shifts):
+    roots = [(p.gamma[mu] + 0.5 - j - p.beta[(mu + j) % p.lam]) / p.lam for j in shifts]
+    return float(p.lam) ** (p.lam - 2) * polyfromroots(roots)
+
+
+def test_root_expansion_matches_per_sector_polyfromroots():
+    rng = np.random.default_rng(7)
+    for lam in range(2, 25):
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng), random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            for shifts in (-np.arange(lam), np.arange(1, lam + 1)):
+                got = _root_polys(p, shifts)
+                for mu in range(lam):
+                    want = _loop_root_poly(p, mu, shifts.tolist())
+                    bound = 1e-14 * np.sum(np.abs(want) * (3.0 * lam) ** np.arange(lam + 1))
+                    assert np.max(np.abs(got[mu] - want)) <= bound, (lam, alpha, mu)
 
 
 def test_extraction_needs_enough_levels():

@@ -121,3 +121,16 @@ def test_import_leaves_scipy_integrate_and_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, check=True).stdout
     assert out.strip() == ""
+
+
+def test_sga_command_leaves_numpy_polynomial_unloaded():
+    src = str(Path(cyclosc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from cyclosc import cli; "
+        "assert cli.main(['sga', '--lambda', '5', '--format', 'csv']) == 0; "
+        "print('numpy.polynomial' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.startswith("kind,mu,power,value")
+    assert out.stderr.strip() == "False"
