@@ -64,11 +64,17 @@ class FockRep:
 
     def lower(self, v, kind: str = "dressed") -> np.ndarray:
         """a v (b v for kind='real'): (a v)[n-1] = amp[n] v[n]."""
-        return np.append(self._amplitudes(kind)[1:] * v[1:], 0.0)
+        shifted = self._amplitudes(kind)[1:] * v[1:]
+        out = np.zeros(shifted.size + 1, shifted.dtype)
+        out[:-1] = shifted
+        return out
 
     def raise_(self, v, kind: str = "dressed") -> np.ndarray:
         """a† v (b† v for kind='real'): (a† v)[n] = amp[n] v[n-1]."""
-        return np.append(0.0, self._amplitudes(kind)[1:] * v[:-1])
+        shifted = self._amplitudes(kind)[1:] * v[:-1]
+        out = np.zeros(shifted.size + 1, shifted.dtype)
+        out[1:] = shifted
+        return out
 
 
 def validate_params(lam: int, alpha) -> AlgebraParams:

@@ -12,6 +12,7 @@ starting with "error:" on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -226,7 +227,9 @@ def _add_params(p) -> None:
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="cyclosc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

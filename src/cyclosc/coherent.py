@@ -2,15 +2,26 @@
 generator J_- = a^lambda / lambda with eigenvalue z, supported on a single
 sector {|k lambda + mu>}.
 
-The expansion coefficient on |k lambda + mu> is
+The expansion coefficient on |n>, n = k lambda + mu, is
 
-    d_k = w^k / sqrt(k! prod_{nu=1}^{mu} (bb_nu + 1)_k prod_{nu'=mu+1}^{lambda-1} (bb_nu')_k),
+    d_k = (lambda z)^k / sqrt(F(mu+1) F(mu+2) ... F(n))
+        = w^k / sqrt(k! prod_{nu=1}^{mu} (bb_nu + 1)_k prod_{nu'=mu+1}^{lambda-1} (bb_nu')_k),
 
-with w = z / lambda^{(lambda-2)/2} and bb = beta_bar.  The squared norm of the
-unnormalized vector is the hypergeometric series N_mu(|z|) = 0F_{lambda-1} of
-the same denominator parameters at y = |z|^2 / lambda^{lambda-2}; states here
-are normalized by dividing by sqrt(N_mu), so the truncated Euclidean norm
-differs from 1 only by the reported tail bound.
+with w = z / lambda^{(lambda-2)/2} and bb = beta_bar.  build_cs forms every
+log|d_k| from one cumulative sum of log F, and the running squared norm from
+one accumulated logaddexp, so neither overflows; the phases are powers of
+z/|z| by repeated multiplication.  The squared norm of the unnormalized
+vector is the hypergeometric series N_mu(|z|) = 0F_{lambda-1} of the same
+denominator parameters at y = |z|^2 / lambda^{lambda-2} (Klauder, Penson and
+Sixdeniers, PRA 64, 013817 (2001)); `normalization` sums that series with
+hyper0F as a reference, which build_cs does not call.  States are normalized
+by dividing by sqrt(N_mu), so the truncated Euclidean norm differs from 1
+only by the reported tail bound.
+
+Two boundaries raise TruncationError: the default max_levels = 512 (reached
+at |z| = 144.9 for lambda = 2, alpha = 0), and, with more levels, N_mu
+leaving the double range (log N_mu > 709.78: |z| = 355.2 for lambda = 2,
+6318 for lambda = 3, alpha = 0, mu = 0).
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, build_fock_rep
+from .algebra import AlgebraParams, build_fock_rep, structure_function
 from .specfun import hyper0F, mittag_leffler
 
 __all__ = [
@@ -52,32 +63,20 @@ class CoherentState:
         return self.coeffs.size - 1
 
 
-def _log_denominator(params: AlgebraParams, mu: int, k: int) -> float:
-    """log of k! prod_{nu<=mu}(bb_nu+1)_k prod_{nu'>mu}(bb_nu')_k, via lgamma."""
-    bb = params.beta_bar
-    val = math.lgamma(k + 1)
-    for nu in range(1, mu + 1):
-        val += math.lgamma(bb[nu] + 1 + k) - math.lgamma(bb[nu] + 1)
-    for nup in range(mu + 1, params.lam):
-        val += math.lgamma(bb[nup] + k) - math.lgamma(bb[nup])
-    return val
-
-
-def _denoms(params: AlgebraParams, mu: int) -> list:
-    bb = params.beta_bar
-    return [bb[nu] + 1.0 for nu in range(1, mu + 1)] + [
-        float(bb[nup]) for nup in range(mu + 1, params.lam)
-    ]
-
-
 def normalization(params: AlgebraParams, mu: int, abs_z: float, tol: float = 1e-13) -> float:
     """Squared norm N_mu(|z|) of the unnormalized coefficient vector:
     0F_{lambda-1}(bb_1+1, ..., bb_mu+1, bb_{mu+1}, ..., bb_{lambda-1}; y)
-    at y = |z|^2 / lambda^{lambda-2}."""
+    at y = |z|^2 / lambda^{lambda-2}, summed term by term by hyper0F.
+    build_cs does not call it; it is the series reference for the norm that
+    build_cs accumulates in log space."""
     if abs_z < 0:
         raise ValueError("abs_z must be nonnegative")
+    bb = params.beta_bar
+    denoms = [bb[nu] + 1.0 for nu in range(1, mu + 1)] + [
+        float(bb[nu]) for nu in range(mu + 1, params.lam)
+    ]
     y = abs_z * abs_z / params.lam ** (params.lam - 2)
-    return hyper0F(_denoms(params, mu), y, tol=tol).value
+    return hyper0F(denoms, y, tol=tol).value
 
 
 def build_cs(
@@ -94,6 +93,7 @@ def build_cs(
     of the accumulated norm (floored so stats/SGA pairings always have room),
     capped at max_levels.  An explicit n_max must leave the first dropped
     coefficient below 1e-13 of the running norm, else TruncationError.
+    A norm N_mu beyond the double range raises TruncationError too.
 
     Coefficient phases follow arg(z): the |mu> coefficient is real positive
     and the k-th coefficient carries phase k*arg(z), accumulated by repeated
@@ -105,73 +105,65 @@ def build_cs(
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"z must be finite, got {z}")
+    if n_max is not None and int(n_max) < mu:
+        raise TruncationError(f"n_max = {int(n_max)} cannot hold level {mu}")
     floor = max(4 * lam, mu + 6)
     if z == 0:
-        nm = floor if n_max is None else int(n_max)
-        if nm < mu:
-            raise TruncationError(f"n_max = {nm} cannot hold level {mu}")
-        coeffs = np.zeros(nm + 1, dtype=complex)
+        coeffs = np.zeros((floor if n_max is None else int(n_max)) + 1, dtype=complex)
         coeffs[mu] = 1.0
         return CoherentState(params, mu, z, coeffs, 1.0, 0.0)
 
-    w_abs = abs(z) / lam ** ((lam - 2) / 2.0)
-    ln_w = math.log(w_abs)
+    # log|d_k| on the levels mu, mu + lambda, ..., two past the largest allowed n_max:
+    # k log(lambda |z|) - (1/2) sum_{mu < j <= k lambda + mu} log F(j)
+    top = (max_levels if n_max is None else int(n_max)) + 2 * lam
+    log_f = np.cumsum(np.log(structure_function(params, np.arange(mu + 1, top + 1))))
+    log_mag = np.arange((top - mu) // lam + 1) * (math.log(lam) + math.log(abs(z)))
+    log_mag[1:] -= 0.5 * log_f[lam - 1::lam]
+    log_acc = np.logaddexp.accumulate(2.0 * log_mag)  # log of the running norm
 
-    def mag(k: int) -> float:
-        return math.exp(k * ln_w - 0.5 * _log_denominator(params, mu, k))
-
-    mags = []
-    acc = 0.0
     if n_max is None:
-        k = 0
-        while True:
-            m = mag(k)
-            mags.append(m)
-            acc += m * m
-            nxt = mag(k + 1)
-            if nxt < 1e-16 * math.sqrt(acc) and k * lam + mu >= floor:
-                break
-            k += 1
-            if k * lam + mu > max_levels:
-                raise TruncationError(
-                    f"coherent-state series at |z| = {abs(z):.6g} needs more than "
-                    f"max_levels = {max_levels} Fock levels"
-                )
-        nm = k * lam + mu
-        k_last = k
+        k_lo = -((mu - floor) // lam)  # the first k with k lambda + mu >= floor
+        k_hi = (max_levels - mu) // lam
+        small = np.flatnonzero(
+            log_mag[k_lo + 1:k_hi + 2] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_hi + 1]
+        )
+        if not small.size:
+            raise TruncationError(
+                f"coherent-state series at |z| = {abs(z):.6g} needs more than "
+                f"max_levels = {max_levels} Fock levels"
+            )
+        k_last = k_lo + int(small[0])
+        nm = k_last * lam + mu
     else:
         nm = int(n_max)
         k_last = (nm - mu) // lam
-        if k_last < 0:
-            raise TruncationError(f"n_max = {nm} cannot hold level {mu}")
-        for k in range(k_last + 1):
-            m = mag(k)
-            mags.append(m)
-            acc += m * m
-        dropped = mag(k_last + 1)
-        if dropped >= 1e-13 * math.sqrt(acc):
+        dropped = log_mag[k_last + 1] - 0.5 * log_acc[k_last]
+        if dropped >= math.log(1e-13):
             raise TruncationError(
                 f"n_max = {nm} is insufficient at |z| = {abs(z):.6g}: first "
-                f"dropped coefficient is {dropped / math.sqrt(acc):.3e} of the norm"
+                f"dropped coefficient is {math.exp(dropped):.3e} of the norm"
             )
 
-    norm_factor = normalization(params, mu, abs(z))
     # bound the dropped squared weight by a geometric tail on |d_k|^2
-    m_drop = mag(k_last + 1)
-    r = mag(k_last + 2) / m_drop if m_drop > 0 else 0.0
+    r = math.exp(log_mag[k_last + 2] - log_mag[k_last + 1])
     if r >= 1.0:
         raise TruncationError(
             f"coefficient magnitudes still growing past n_max = {nm} at |z| = {abs(z):.6g}"
         )
-    tail_bound = (m_drop * m_drop / (1.0 - r * r)) / norm_factor
+    log_norm = float(log_acc[k_last + 2])
+    try:
+        norm_factor = math.exp(log_norm)
+    except OverflowError:
+        raise TruncationError(
+            f"normalization N_{mu} = exp({log_norm:.6g}) at |z| = {abs(z):.6g} "
+            "overflows double precision"
+        ) from None
+    tail_bound = math.exp(2.0 * log_mag[k_last + 1] - math.log1p(-r * r) - log_norm)
 
+    phases = np.full(k_last + 1, z / abs(z))
+    phases[0] = 1.0
     coeffs = np.zeros(nm + 1, dtype=complex)
-    phase = z / abs(z)
-    ph = 1.0 + 0.0j
-    scale = 1.0 / math.sqrt(norm_factor)
-    for k, m in enumerate(mags):
-        coeffs[k * lam + mu] = m * scale * ph
-        ph *= phase
+    coeffs[mu::lam] = np.exp(log_mag[:k_last + 1] - 0.5 * log_norm) * np.cumprod(phases)
     return CoherentState(params, mu, z, coeffs, norm_factor, tail_bound)
 
 

@@ -88,18 +88,18 @@ def build_sga(fock: FockRep) -> SgaRep:
             f"n_max = {fock.n_max} too small for SGA extraction: need >= {4 * lam}"
         )
     n = np.arange(fock.n_max + 1)
-    prods = []
-    for shifts in (range(0, -lam, -1), range(1, lam + 1)):
-        out = np.full(n.shape, 1.0 / (lam * lam))
-        with np.errstate(over="ignore"):
-            for j in shifts:
-                out *= structure_function(params, np.maximum(n + j, 0))  # F(0) = 0 ends lowering
-        if not np.all(np.isfinite(out)):
-            raise RuntimeError(
-                f"SGA products overflow double precision at lambda = {lam}, n_max = {fock.n_max}"
-            )
-        prods.append(out)
-    return SgaRep(fock, (n + params.gamma[n % lam] + 0.5) / lam, *prods)
+    # prods[i] = F(i+1-lambda) ... F(i) / lambda^2 for i = 0 .. n_max + lambda, with F(0) = 0
+    # below level 1 ending the lowering: J_+ J_- at n is prods[n], J_- J_+ is prods[n + lambda]
+    f = structure_function(params, np.maximum(np.arange(1 - lam, fock.n_max + lam + 1), 0))
+    prods = np.full(fock.n_max + lam + 1, 1.0 / (lam * lam))
+    with np.errstate(over="ignore"):
+        for j in range(lam):
+            prods *= f[j:j + prods.size]
+    if not np.all(np.isfinite(prods[-lam:])):  # each product exceeds the one lambda below it
+        raise RuntimeError(
+            f"SGA products overflow double precision at lambda = {lam}, n_max = {fock.n_max}"
+        )
+    return SgaRep(fock, (n + params.gamma[n % lam] + 0.5) / lam, prods[:n.size], prods[lam:])
 
 
 def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Scalar special functions used by the coherent-state and measure formulas.
 
-Generalized hypergeometric series of type 0F_q, generalized Mittag-Leffler
-functions, and the modified Bessel function K_nu (a guarded wrapper around
+Generalized hypergeometric series of type 0F_q (the series reference for the
+coherent-state norms, which build_cs accumulates in log space), generalized
+Mittag-Leffler functions, and the modified Bessel function K_nu (a guarded wrapper around
 scipy.special, imported lazily).  The series evaluators
 return a ``SeriesResult`` carrying the number of terms summed and an upper
 bound on the truncated tail, so callers can propagate truncation error.

@@ -134,6 +134,20 @@ def test_ladder_shifts_match_dense_matrices(lam):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def test_ladder_shifts_match_append_form():
+    # the shifts write into a zero vector; np.append of the same product is the reference
+    rng = np.random.default_rng(17)
+    p = validate_params(3, random_admissible_alpha(3, rng))
+    fock = build_fock_rep(p, 20)
+    for v in (rng.standard_normal(21), rng.standard_normal(21) + 1j * rng.standard_normal(21)):
+        for kind in ("dressed", "real"):
+            amp = fock.sqrt_f if kind == "dressed" else fock.sqrt_n
+            for got, want in ((fock.lower(v, kind), np.append(amp[1:] * v[1:], 0.0)),
+                              (fock.raise_(v, kind), np.append(0.0, amp[1:] * v[:-1]))):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 def test_h0_diagonal_matches_energy():
     p = validate_params(3, [-0.5, 0.25, 0.25])
     fock = dense_operators(p, 15)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import cyclosc.algebra
+from cyclosc import cli
 from cyclosc.cli import main
 
 
@@ -191,3 +192,25 @@ def test_verify_catches_mutation(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cached_parser_gives_the_same_results_back_to_back(capsys):
+    cases = [
+        ["info", "--lambda", "2", "--alpha", "0.5,-0.5"],
+        ["sga", "--lambda", "3", "--format", "csv"],
+        ["sweep", "--lambda", "2", "--quantity", "X", "--r-from", "0.5", "--r-to", "1", "--steps", "3"],
+        ["info", "--lambda", "2", "--alpha", "x,1"],
+        ["sweep", "--lambda", "2", "--quantity", "skew", "--r-from", "0", "--r-to", "1"],
+        ["--help"],
+    ]
+    alone = []
+    for argv in cases:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    parser = cli._build_parser()
+    back_to_back = [run(capsys, *argv) for argv in cases + cases]
+    assert cli._build_parser() is parser
+    assert back_to_back == alone + alone
+    assert [code for code, _, _ in alone] == [0, 0, 0, 1, 1, 0]
+    for code, out, err in alone[3:5]:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1

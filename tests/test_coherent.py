@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -214,3 +215,59 @@ def test_tail_bound_reported():
     p = validate_params(2, [0.5, -0.5])
     cs = build_cs(p, 0, 2.0)
     assert 0.0 <= cs.tail_bound < 1e-20
+
+
+def _lgamma_log_magnitudes(p, mu, abs_z, k_max):
+    """log|d_k|, k = 0..k_max, from k! and the Pochhammer symbols of the
+    denominator parameters, one lgamma sum per k (the pre-log-space route)."""
+    lam, bb = p.lam, p.beta_bar
+    ln_w = math.log(abs_z / lam ** ((lam - 2) / 2.0))
+    out = []
+    for k in range(k_max + 1):
+        val = math.lgamma(k + 1)
+        for nu in range(1, mu + 1):
+            val += math.lgamma(bb[nu] + 1 + k) - math.lgamma(bb[nu] + 1)
+        for nup in range(mu + 1, lam):
+            val += math.lgamma(bb[nup] + k) - math.lgamma(bb[nup])
+        out.append(k * ln_w - 0.5 * val)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_log_space_coefficients_match_lgamma_route(lam):
+    rng = np.random.default_rng(100 + lam)
+    for p in (validate_params(lam, [0.0] * lam), validate_params(lam, random_admissible_alpha(lam, rng))):
+        for mu in range(lam):
+            for z in (0.3, 2.5 + 1.0j, cmath.rect(17.0, -2.0), cmath.rect(100.0, 0.7)):
+                cs = build_cs(p, mu, z)
+                k_last = (cs.n_max - mu) // lam
+                log_m = _lgamma_log_magnitudes(p, mu, abs(z), k_last)
+                log_norm = float(np.logaddexp.reduce(2.0 * log_m))
+                ref = np.exp(log_m - 0.5 * log_norm) * (z / abs(z)) ** np.arange(k_last + 1)
+                assert np.max(np.abs(cs.coeffs[mu::lam] - ref)) < 1e-12
+                assert abs(math.log(cs.norm_factor) - log_norm) < 1e-11
+
+
+def test_default_level_cap_is_named():
+    p = validate_params(2, [0.0, 0.0])
+    with pytest.raises(TruncationError, match="max_levels = 512"):
+        build_cs(p, 0, 400.0)
+
+
+def test_large_label_against_mpmath():
+    # lambda = 2, alpha = 0: d_k = (2z)^k / sqrt((2k)!), N_0 = cosh(2|z|)
+    p = validate_params(2, [0.0, 0.0])
+    cs = build_cs(p, 0, 340.0, max_levels=4096)
+    with mpmath.workdps(40):
+        two_z = mpmath.mpf(680)
+        scale = mpmath.sqrt(mpmath.cosh(two_z))
+        ref = np.array([float(two_z ** k / mpmath.sqrt(mpmath.factorial(2 * k)) / scale)
+                        for k in range(cs.n_max // 2 + 1)])
+    assert np.max(np.abs(cs.coeffs[0::2] - ref)) < 1e-11 * ref.max()
+    assert math.isfinite(cs.norm_factor)
+
+
+def test_norm_overflow_is_named():
+    p = validate_params(2, [0.0, 0.0])
+    with pytest.raises(TruncationError, match=r"normalization N_0 = exp\(\d+\.?\d*\) .* overflows double precision"):
+        build_cs(p, 0, 400.0, max_levels=4096)

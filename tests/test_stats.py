@@ -12,7 +12,7 @@ from cyclosc.stats import (
     squeeze_ratios,
     stats_report,
 )
-from cyclosc.verify import dense_operators, dense_quadrature_moments, series_number_moments
+from cyclosc.verify import dense_operators, dense_quadrature_moments, dense_number_moments
 
 
 def _state(lam, alpha, mu, z):
@@ -216,7 +216,7 @@ def test_dual_route_agreement():
             for field in ("mean_x", "mean_p", "var_x", "var_p", "central_x4", "central_p4"):
                 assert abs(getattr(m, field) - getattr(s, field)) < 1e-11
         rep = stats_report(cs, fock)
-        sn, sn2 = series_number_moments(p, cs.coeffs)
+        sn, sn2 = dense_number_moments(dense, cs.coeffs)
         assert abs(rep.mean_n - sn) < 1e-11
         assert abs(rep.var_n - (sn2 - sn * sn)) < 1e-11
 
