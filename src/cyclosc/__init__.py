@@ -25,15 +25,12 @@ from .sga import (
     build_sga,
     extract_f_poly,
     extract_h_poly_and_casimir,
-    closed_form_f,
-    closed_form_h,
-    closed_form_casimir,
+    closed_forms,
 )
 from .coherent import (
     CoherentState,
     TruncationError,
     build_cs,
-    normalization,
     eigen_residual,
     mittag_leffler_check,
 )

@@ -25,9 +25,7 @@ from .sga import (
     extraction_n_max,
     extract_f_poly,
     extract_h_poly_and_casimir,
-    closed_form_f,
-    closed_form_h,
-    closed_form_casimir,
+    closed_forms,
 )
 from .coherent import build_cs, TruncationError
 from .stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
@@ -194,11 +192,9 @@ def cmd_sga(args) -> int:
             lines.append(f"  casimir: {poly.c[mu]:.12g}")
 
     dev = None
-    cf = closed_form_f(params)
+    cf = closed_forms(params)
     if cf is not None:
-        dev = float(np.max(np.abs(s - cf)))
-        dev = max(dev, float(np.max(np.abs(poly.t - closed_form_h(params)))))
-        dev = max(dev, float(np.max(np.abs(poly.c - closed_form_casimir(params)))))
+        dev = max(float(np.max(np.abs(got - want))) for got, want in zip((s, poly.t, poly.c), cf))
         if args.format != "csv":
             lines.append(f"closed-form max deviation: {dev:.3e}")
     _write_out("\n".join(lines) + "\n", args.out)
@@ -210,7 +206,7 @@ def cmd_sga(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    ok, lines = run_suites(names, seed=args.seed, tol=args.tol)
+    ok, lines = run_suites(names, seed=args.seed)
     _write_out("\n".join(lines) + "\n", args.out)
     if not ok:
         print("error: verification failed", file=sys.stderr)
@@ -259,7 +255,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run invariant suites")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--seed", type=int, default=12345)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -13,8 +13,8 @@ one accumulated logaddexp, so neither overflows; the phases are powers of
 z/|z| by repeated multiplication.  The squared norm of the unnormalized
 vector is the hypergeometric series N_mu(|z|) = 0F_{lambda-1} of the same
 denominator parameters at y = |z|^2 / lambda^{lambda-2} (Klauder, Penson and
-Sixdeniers, PRA 64, 013817 (2001)); `normalization` sums that series with
-hyper0F as a reference, which build_cs does not call.  States are normalized
+Sixdeniers, PRA 64, 013817 (2001)), returned as norm_factor; verify sums that
+series term by term as the independent reference.  States are normalized
 by dividing by sqrt(N_mu), so the truncated Euclidean norm differs from 1
 only by the reported tail bound.
 
@@ -32,13 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraParams, build_fock_rep, structure_function
-from .specfun import hyper0F, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = [
     "TruncationError",
     "CoherentState",
     "build_cs",
-    "normalization",
     "eigen_residual",
     "mittag_leffler_check",
 ]
@@ -61,22 +60,6 @@ class CoherentState:
     @property
     def n_max(self) -> int:
         return self.coeffs.size - 1
-
-
-def normalization(params: AlgebraParams, mu: int, abs_z: float, tol: float = 1e-13) -> float:
-    """Squared norm N_mu(|z|) of the unnormalized coefficient vector:
-    0F_{lambda-1}(bb_1+1, ..., bb_mu+1, bb_{mu+1}, ..., bb_{lambda-1}; y)
-    at y = |z|^2 / lambda^{lambda-2}, summed term by term by hyper0F.
-    build_cs does not call it; it is the series reference for the norm that
-    build_cs accumulates in log space."""
-    if abs_z < 0:
-        raise ValueError("abs_z must be nonnegative")
-    bb = params.beta_bar
-    denoms = [bb[nu] + 1.0 for nu in range(1, mu + 1)] + [
-        float(bb[nu]) for nu in range(mu + 1, params.lam)
-    ]
-    y = abs_z * abs_z / params.lam ** (params.lam - 2)
-    return hyper0F(denoms, y, tol=tol).value
 
 
 def build_cs(
@@ -213,6 +196,6 @@ def mittag_leffler_check(params: AlgebraParams, mu: int, z: complex, n_max: int 
             break
         if k * lam + mu > cs.n_max:
             break
-    e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2).value
+    e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
     rebuilt = total * math.sqrt(math.gamma(mu + 1) / e_val)
     return float(np.max(np.abs(rebuilt - cs.coeffs)))

@@ -15,13 +15,13 @@ lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) m
 lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
 f, h and the Casimir eigenvalues are expanded from those roots and validated
 against the products level by level, for all sectors at once (one coefficient
-array, one row-wise Horner pass); lambda = 2, 3 closed forms serve as goldens.
+array, one row-wise Horner pass); the lambda = 2, 3 closed forms (closed_forms)
+serve as goldens.
 The products overflow double precision from about lambda = 74
 (lambda <= 73 works at alpha = 0), and build_sga then raises RuntimeError.
 
 The constant term of h is fixed to zero (any constant can be traded between
-h and the Casimir eigenvalues); both closed-form cases below share that
-normalization.
+h and the Casimir eigenvalues); closed_forms shares that normalization.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ __all__ = [
     "build_sga",
     "extract_f_poly",
     "extract_h_poly_and_casimir",
-    "closed_form_f",
-    "closed_form_h",
-    "closed_form_casimir",
+    "closed_forms",
 ]
 
 
@@ -200,60 +198,25 @@ def extract_h_poly_and_casimir(sga: SgaRep, s: np.ndarray) -> SgaPolynomials:
     return SgaPolynomials(s, t, c, f_gate[0], h_resid)
 
 
-def closed_form_f(params: AlgebraParams):
-    """Closed-form s coefficients for lambda in {2, 3}; None otherwise.
+def closed_forms(params: AlgebraParams):
+    """Closed-form (s, t, c), shaped as SgaPolynomials' fields, for lambda in
+    {2, 3}; None otherwise.
 
-    lambda = 2: f = -2 J_0.
-    lambda = 3: f = -9 J_0^2 - (alpha_mu + 2 alpha_{mu+1}) J_0
-                    - (1 + alpha_mu)(5 - alpha_mu)/12,
-    with the index mu+1 taken mod 3.
+    lambda = 2: f = -2 J_0,  h = -J_0 (J_0 + 1),  c_mu = (1 + alpha_mu)(3 - alpha_mu)/16.
+    lambda = 3, with a0 = alpha_mu and a1 = alpha_{mu+1} (index mod 3):
+        f = -9 J_0^2 - (a0 + 2 a1) J_0 - (1 + a0)(5 - a0)/12,
+        h = -3 J_0^3 - (9 + a0 + 2 a1) J_0^2 / 2 - (23 + 10 a0 + 12 a1 - a0^2) J_0 / 12,
+        c_mu = (1 + a0)(5 - a0)(3 + a0 + 2 a1)/72.
     """
-    lam = params.lam
-    al = params.alpha
-    if lam == 2:
-        return np.array([[0.0, -2.0], [0.0, -2.0]])
-    if lam == 3:
-        s = np.zeros((3, 3))
-        for mu in range(3):
-            a0 = al[mu]
-            a1 = al[(mu + 1) % 3]
-            s[mu] = [-(1 + a0) * (5 - a0) / 12.0, -(a0 + 2 * a1), -9.0]
-        return s
-    return None
-
-
-def closed_form_h(params: AlgebraParams):
-    """Closed-form t coefficients for lambda in {2, 3}; None otherwise.
-
-    lambda = 2: h = -J_0 (J_0 + 1).
-    lambda = 3: h = -3 J_0^3 - (9 + alpha_mu + 2 alpha_{mu+1}) J_0^2 / 2
-                    - (23 + 10 alpha_mu + 12 alpha_{mu+1} - alpha_mu^2) J_0 / 12.
-    """
-    lam = params.lam
-    al = params.alpha
-    if lam == 2:
-        return np.array([[0.0, -1.0, -1.0], [0.0, -1.0, -1.0]])
-    if lam == 3:
-        t = np.zeros((3, 4))
-        for mu in range(3):
-            a0 = al[mu]
-            a1 = al[(mu + 1) % 3]
-            t[mu] = [0.0, -(23 + 10 * a0 + 12 * a1 - a0 * a0) / 12.0, -(9 + a0 + 2 * a1) / 2.0, -3.0]
-        return t
-    return None
-
-
-def closed_form_casimir(params: AlgebraParams):
-    """Closed-form Casimir eigenvalues for lambda in {2, 3}; None otherwise.
-
-    lambda = 2: c_mu = (1 + alpha_mu)(3 - alpha_mu)/16.
-    lambda = 3: c_mu = (1 + alpha_mu)(5 - alpha_mu)(3 + alpha_mu + 2 alpha_{mu+1})/72.
-    """
-    lam = params.lam
-    al = params.alpha
-    if lam == 2:
-        return np.array([(1 + al[mu]) * (3 - al[mu]) / 16.0 for mu in range(2)])
-    if lam == 3:
-        return np.array([(1 + al[mu]) * (5 - al[mu]) * (3 + al[mu] + 2 * al[(mu + 1) % 3]) / 72.0
-                         for mu in range(3)])
+    a0 = params.alpha
+    if params.lam == 2:
+        s = np.array([[0.0, -2.0], [0.0, -2.0]])
+        t = np.array([[0.0, -1.0, -1.0], [0.0, -1.0, -1.0]])
+        return s, t, (1 + a0) * (3 - a0) / 16.0
+    if params.lam == 3:
+        a1 = np.roll(a0, -1)
+        s = np.column_stack([-(1 + a0) * (5 - a0) / 12.0, -(a0 + 2 * a1), np.full(3, -9.0)])
+        t = np.column_stack([np.zeros(3), -(23 + 10 * a0 + 12 * a1 - a0 * a0) / 12.0,
+                             -(9 + a0 + 2 * a1) / 2.0, np.full(3, -3.0)])
+        return s, t, (1 + a0) * (5 - a0) * (3 + a0 + 2 * a1) / 72.0
     return None

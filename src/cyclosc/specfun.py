@@ -1,41 +1,24 @@
 """Scalar special functions used by the coherent-state and measure formulas.
 
-Generalized hypergeometric series of type 0F_q (the series reference for the
-coherent-state norms, which build_cs accumulates in log space), generalized
-Mittag-Leffler functions, and the modified Bessel function K_nu (a guarded wrapper around
-scipy.special, imported lazily).  The series evaluators
-return a ``SeriesResult`` carrying the number of terms summed and an upper
-bound on the truncated tail, so callers can propagate truncation error.
+Rising factorials (the moment targets of the radial measures), generalized
+Mittag-Leffler functions (the alpha = 0 coherent-state reference), and the
+modified Bessel function K_nu (a guarded wrapper around scipy.special,
+imported lazily).  The coherent-state norms themselves are 0F_{lambda-1}
+series, which build_cs accumulates in log space; verify sums the same series
+term by term as its reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "SeriesResult",
     "pochhammer",
-    "hyper0F",
     "mittag_leffler",
     "bessel_k",
 ]
 
 _MAX_TERMS = 100_000
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """Value of a truncated series plus truncation diagnostics.
-
-    ``tail_bound`` is an upper bound on the magnitude of the dropped
-    remainder, valid once the term-ratio has fallen below one (true for
-    every series evaluated here, whose term ratios decrease to zero).
-    """
-
-    value: float
-    terms_used: int
-    tail_bound: float
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -48,56 +31,7 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def hyper0F(denoms, x: float, tol: float = 1e-13) -> SeriesResult:
-    """Evaluate 0F_q(; d_1, ..., d_q; x) = sum_k x^k / (k! prod_i (d_i)_k).
-
-    Parameters
-    ----------
-    denoms : sequence of float
-        Lower parameters d_i.  None may be zero or a negative integer
-        (the series would hit a pole).
-    x : float
-        Argument, x >= 0.  Only nonnegative arguments arise here, which
-        makes every term positive and the tail bound rigorous.
-    tol : float
-        Relative tail tolerance at which summation stops.
-
-    The tail after the last added term T_k is bounded by T_{k+1}/(1 - r)
-    where r < 1 is the next term ratio; the ratio x/((k+1) prod(d_i + k))
-    decreases monotonically once all d_i + k > 0.
-    """
-    denoms = [float(d) for d in denoms]
-    for d in denoms:
-        if d <= 0 and d == int(d):
-            raise ValueError(f"denominator parameter {d} is a nonpositive integer")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return SeriesResult(1.0, 1, 0.0)
-
-    def ratio(k):
-        r = x / (k + 1.0)
-        for d in denoms:
-            r /= d + k
-        return r
-
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        term *= ratio(k)
-        total += term
-        k += 1
-        r_next = abs(ratio(k))
-        if r_next < 1.0:
-            tail = abs(term) * r_next / (1.0 - r_next)
-            if tail <= tol * abs(total):
-                return SeriesResult(total, k + 1, tail)
-        if k >= _MAX_TERMS:
-            raise RuntimeError("hyper0F series did not converge")
-
-
-def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> SeriesResult:
+def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> float:
     """Evaluate E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha k + beta).
 
     Requires alpha > 0 and beta > 0.  Terms are computed in log space so
@@ -106,7 +40,7 @@ def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> S
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     if x == 0:
-        return SeriesResult(1.0 / math.gamma(beta), 1, 0.0)
+        return 1.0 / math.gamma(beta)
     lnax = math.log(abs(x))
     sign = 1.0 if x > 0 else -1.0
 
@@ -125,7 +59,7 @@ def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> S
         if r_next < 1.0:
             tail = abs(t) * r_next / (1.0 - r_next)
             if tail <= tol * abs(total):
-                return SeriesResult(total, k + 1, tail)
+                return total
         if k >= _MAX_TERMS:
             raise RuntimeError("mittag_leffler series did not converge")
 

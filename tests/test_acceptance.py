@@ -18,15 +18,13 @@ from cyclosc.sga import (
     build_sga,
     extract_f_poly,
     extract_h_poly_and_casimir,
-    closed_form_f,
-    closed_form_h,
-    closed_form_casimir,
+    closed_forms,
 )
-from cyclosc.coherent import build_cs, normalization, eigen_residual, mittag_leffler_check
+from cyclosc.coherent import build_cs, eigen_residual, mittag_leffler_check
 from cyclosc.stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from cyclosc.measure import moment_target, weight_lambda2, weight_photon, moment_check
 from cyclosc.cli import main as cli_main
-from cyclosc.verify import dense_operators
+from cyclosc.verify import dense_operators, _brute_norm
 
 DEFORMED = {2: [0.7, -0.7], 3: [-0.5, 0.25, 0.25], 4: [0.3, -0.1, 0.2, -0.4]}
 
@@ -73,9 +71,8 @@ def test_02_sga_polynomials_match_closed_forms():
             sga = build_sga(build_fock_rep(p, 3 * lam * lam + 2 * lam))
             s = extract_f_poly(sga)
             poly = extract_h_poly_and_casimir(sga, s)
-            dev = float(np.max(np.abs(s - closed_form_f(p))))
-            dev = max(dev, float(np.max(np.abs(poly.t - closed_form_h(p)))))
-            dev = max(dev, float(np.max(np.abs(poly.c - closed_form_casimir(p)))))
+            dev = max(float(np.max(np.abs(got - want)))
+                      for got, want in zip((s, poly.t, poly.c), closed_forms(p)))
             worst = max(worst, dev)
             assert dev <= 1e-9
     dt = time.perf_counter() - t0
@@ -119,12 +116,12 @@ def test_04_normalization_cross_checks():
             term *= ratio
             total += term
             k += 1
-        got = normalization(p, mu, r)
+        got = build_cs(p, mu, r).norm_factor
         rel = abs(got - total) / total
         worst = max(worst, rel)
         assert rel < 1e-11
     # lambda = 2 closed form: Gamma(nu+1) y^{-nu/2} I_nu(2 sqrt(y)), with
-    # I_nu(x) = ive(nu, x) e^x from scipy (independent of hyper0F)
+    # I_nu(x) = ive(nu, x) e^x from scipy (independent of both series routes)
     for a0 in (-0.5, 0.5, 2.0):
         p = validate_params(2, [a0, -a0])
         for mu in (0, 1):
@@ -133,9 +130,10 @@ def test_04_normalization_cross_checks():
                 y = r * r
                 x = 2.0 * math.sqrt(y)
                 want = math.gamma(nu + 1.0) * y ** (-nu / 2.0) * special.ive(nu, x) * math.exp(x)
-                rel = abs(normalization(p, mu, r) - want) / want
-                worst = max(worst, rel)
-                assert rel < 1e-10
+                for got in (build_cs(p, mu, r).norm_factor, _brute_norm(p, mu, r)):
+                    rel = abs(got - want) / want
+                    worst = max(worst, rel)
+                    assert rel < 1e-10
     print(f"PASS 04 normalization cross-checks: worst rel dev {worst:.2e}")
 
 

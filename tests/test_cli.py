@@ -161,8 +161,17 @@ def test_verify_single_suite(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     text = out_file.read_text()
-    assert "suite sga" in text
+    # the built-in sets plus 20 random draws; the count does not depend on the seed
+    assert "suite sga: 165/165 checks passed" in text
     assert "FAIL" not in text
+
+
+def test_verify_rejects_tol(capsys):
+    # the suites' bounds are fixed; there is no --tol to loosen them
+    code, out, err = run(capsys, "verify", "--tol", "1e-3")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize("seed", [3, 5, 6, 13])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -8,11 +9,10 @@ from scipy import special
 
 from cyclosc.algebra import validate_params, build_fock_rep, random_admissible_alpha
 from cyclosc.sga import build_sga
-from cyclosc.verify import dense_operators
+from cyclosc.verify import dense_operators, suite_cs, _brute_norm
 from cyclosc.coherent import (
     TruncationError,
     build_cs,
-    normalization,
     eigen_residual,
     mittag_leffler_check,
 )
@@ -70,9 +70,11 @@ def test_normalization_against_brute_sum():
 
 
 def test_normalization_lambda2_undeformed():
+    # build_cs's log-space norm and verify's term-ratio series reference
     p = validate_params(2, [0.0, 0.0])
-    assert math.isclose(normalization(p, 0, 1.3), math.cosh(2.6), rel_tol=1e-12)
-    assert math.isclose(normalization(p, 1, 1.3), math.sinh(2.6) / 2.6, rel_tol=1e-12)
+    for mu, want in ((0, math.cosh(2.6)), (1, math.sinh(2.6) / 2.6)):
+        for got in (build_cs(p, mu, 1.3).norm_factor, _brute_norm(p, mu, 1.3)):
+            assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_normalization_bessel_form_lambda2():
@@ -81,9 +83,10 @@ def test_normalization_bessel_form_lambda2():
         for mu in (0, 1):
             for r in (0.4, 1.0, 2.5):
                 nu = p.beta_bar[1] - 1.0 + mu
-                # I_nu(2r) = ive(nu, 2r) e^{2r}, independent of hyper0F
+                # I_nu(2r) = ive(nu, 2r) e^{2r}, independent of both series routes
                 ref = math.gamma(nu + 1.0) * r ** (-nu) * special.ive(nu, 2.0 * r) * math.exp(2.0 * r)
-                assert math.isclose(normalization(p, mu, r), ref, rel_tol=1e-10)
+                for got in (build_cs(p, mu, r).norm_factor, _brute_norm(p, mu, r)):
+                    assert math.isclose(got, ref, rel_tol=1e-10)
 
 
 def test_eigenvector_property():
@@ -110,6 +113,16 @@ def test_eigen_residual_equivalent_form():
     w[cs.n_max - 2:] = 0.0
     r2 = np.linalg.norm(w) / 3.0 / max(abs(z), 1.0)
     assert abs(r1 - r2) < 1e-13
+
+
+def test_cs_checks_report_a_measured_deviation():
+    results = suite_cs(seed=0)
+    for name in ("cs-eigen-equivalent-form", "cs-phase-convention"):
+        found = [r for r in results if r.name == name]
+        assert found, name
+        for r in found:
+            m = re.search(r" dev=(\S+)$", r.detail)
+            assert m and math.isfinite(float(m.group(1))), r.detail
 
 
 def test_factorial_coefficients_undeformed():

@@ -15,9 +15,7 @@ from cyclosc.sga import (
     build_sga,
     extract_f_poly,
     extract_h_poly_and_casimir,
-    closed_form_f,
-    closed_form_h,
-    closed_form_casimir,
+    closed_forms,
     _root_polys,
 )
 from cyclosc.verify import dense_operators
@@ -71,9 +69,12 @@ def test_lambda2_closed_forms():
         assert np.allclose(poly.t, [[0.0, -1.0, -1.0]] * 2, atol=1e-10)
         expect_c = [(1 + a0) * (3 - a0) / 16, (1 - a0) * (3 + a0) / 16]
         assert np.allclose(poly.c, expect_c, atol=1e-10)
-        assert np.allclose(closed_form_f(p), s, atol=1e-10)
-        assert np.allclose(closed_form_h(p), poly.t, atol=1e-10)
-        assert np.allclose(closed_form_casimir(p), expect_c, atol=1e-12)
+        cf_s, cf_t, cf_c = closed_forms(p)
+        # shapes first: allclose would broadcast a (lambda,)-row slip away
+        assert (cf_s.shape, cf_t.shape, cf_c.shape) == ((2, 2), (2, 3), (2,))
+        assert np.allclose(cf_s, s, atol=1e-10)
+        assert np.allclose(cf_t, poly.t, atol=1e-10)
+        assert np.allclose(cf_c, expect_c, atol=1e-12)
 
 
 def test_lambda3_closed_forms_match_extraction():
@@ -82,9 +83,11 @@ def test_lambda3_closed_forms_match_extraction():
         p, sga = _sga(3, random_admissible_alpha(3, rng))
         s = extract_f_poly(sga)
         poly = extract_h_poly_and_casimir(sga, s)
-        assert np.max(np.abs(s - closed_form_f(p))) < 1e-9
-        assert np.max(np.abs(poly.t - closed_form_h(p))) < 1e-9
-        assert np.max(np.abs(poly.c - closed_form_casimir(p))) < 1e-9
+        cf_s, cf_t, cf_c = closed_forms(p)
+        assert (cf_s.shape, cf_t.shape, cf_c.shape) == ((3, 3), (3, 4), (3,))
+        assert np.max(np.abs(s - cf_s)) < 1e-9
+        assert np.max(np.abs(poly.t - cf_t)) < 1e-9
+        assert np.max(np.abs(poly.c - cf_c)) < 1e-9
 
 
 def test_lambda3_undeformed_values():
@@ -104,9 +107,7 @@ def test_lambda2_undeformed_casimir():
 
 def test_no_closed_forms_beyond_lambda3():
     p = validate_params(4, [0.0] * 4)
-    assert closed_form_f(p) is None
-    assert closed_form_h(p) is None
-    assert closed_form_casimir(p) is None
+    assert closed_forms(p) is None
 
 
 def test_lowest_j0_eigenvalue_per_sector():
