@@ -52,8 +52,6 @@ class FockRep:
     the second.  Shifts act on the truncated space: raising |n_max> drops out.
     """
 
-    params: AlgebraParams
-    n_max: int
     sqrt_f: np.ndarray
     sqrt_n: np.ndarray
 
@@ -131,7 +129,7 @@ def build_fock_rep(params: AlgebraParams, n_max: int) -> FockRep:
     if n_max < params.lam:
         raise ValueError(f"n_max must be at least lambda = {params.lam}, got {n_max}")
     n = np.arange(n_max + 1)
-    return FockRep(params, n_max, np.sqrt(structure_function(params, n)), np.sqrt(n.astype(float)))
+    return FockRep(np.sqrt(structure_function(params, n)), np.sqrt(n.astype(float)))
 
 
 def random_admissible_alpha(lam: int, rng: np.random.Generator) -> np.ndarray:

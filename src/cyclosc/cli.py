@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, validate_params, build_fock_rep, energy
+from .algebra import AlgebraParams, validate_params, energy
 from .sga import (
     build_sga,
     extraction_n_max,
@@ -113,15 +113,14 @@ def make_sweep_spec(args) -> SweepSpec:
 
 def evaluate_point(spec: SweepSpec, z: complex) -> float:
     cs = build_cs(spec.params, spec.mu, z)
-    fock = build_fock_rep(spec.params, cs.n_max)
     if spec.quantity == "mandel-q":
-        q = mandel_q(cs, fock)
+        q = mandel_q(cs)
         return float("nan") if q is None else q
     if spec.quantity == "var-x":
-        return quadrature_stats(cs, fock, spec.kind).var_x
+        return quadrature_stats(cs, spec.kind).var_x
     if spec.quantity == "var-p":
-        return quadrature_stats(cs, fock, spec.kind).var_p
-    return squeeze_ratios(cs, fock, spec.kind)[_RATIO_INDEX[spec.quantity]]
+        return quadrature_stats(cs, spec.kind).var_p
+    return squeeze_ratios(cs, spec.kind)[_RATIO_INDEX[spec.quantity]]
 
 
 def _write_out(text: str, out) -> None:
@@ -170,7 +169,7 @@ def cmd_info(args) -> int:
 def cmd_sga(args) -> int:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
     lam = params.lam
-    sga = build_sga(build_fock_rep(params, extraction_n_max(lam)))
+    sga = build_sga(params, extraction_n_max(lam))
     s = extract_f_poly(sga)
     poly = extract_h_poly_and_casimir(sga, s)
 

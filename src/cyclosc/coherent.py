@@ -73,7 +73,7 @@ def build_cs(
 
     With n_max omitted the truncation is chosen adaptively: the smallest
     k lambda + mu at which the next coefficient magnitude drops below 1e-16
-    of the accumulated norm (floored so stats/SGA pairings always have room),
+    of the accumulated norm (floored at max(4 lambda, mu + 6)),
     capped at max_levels.  An explicit n_max must leave the first dropped
     coefficient below 1e-13 of the running norm, else TruncationError.
     A norm N_mu beyond the double range raises TruncationError too.
@@ -150,33 +150,31 @@ def build_cs(
     return CoherentState(params, mu, z, coeffs, norm_factor, tail_bound)
 
 
-def eigen_residual(cs: CoherentState, sga) -> float:
+def eigen_residual(cs: CoherentState) -> float:
     """Relative eigenvalue defect ||J_- v - z v|| / max(|z|, 1), ignoring the
     top lambda Fock levels, whose J_- image lies beyond the truncation."""
-    if sga.fock.n_max != cs.n_max:
-        raise ValueError("coherent state and SGA representation use different truncations")
     lam = cs.params.lam
+    fock = build_fock_rep(cs.params, cs.n_max)
     w = cs.coeffs
     for _ in range(lam):
-        w = sga.fock.lower(w)
+        w = fock.lower(w)
     w = w / lam - cs.z * cs.coeffs
     w[cs.n_max - lam + 1:] = 0.0
     return float(np.linalg.norm(w) / max(abs(cs.z), 1.0))
 
 
-def mittag_leffler_check(params: AlgebraParams, mu: int, z: complex, n_max: int = None) -> float:
+def mittag_leffler_check(cs: CoherentState) -> float:
     """For the undeformed case (alpha = 0) rebuild the state as
 
         sqrt(mu! / E_{lambda,mu+1}(lambda^2 |z|^2)) * E_{lambda,mu+1}(lambda^2 z J_+) |mu>,
 
     applying J_+ term by term to |mu>, and return the maximum absolute
-    coefficient deviation from build_cs."""
+    coefficient deviation from cs."""
+    params, mu, z = cs.params, cs.mu, cs.z
     if not np.allclose(params.alpha, 0.0, atol=1e-14):
         raise ValueError("the Mittag-Leffler form requires alpha = 0")
     lam = params.lam
-    cs = build_cs(params, mu, z, n_max=n_max)
     fock = build_fock_rep(params, cs.n_max)
-    z = complex(z)
 
     total = np.zeros(cs.n_max + 1, dtype=complex)
     term = np.zeros(cs.n_max + 1, dtype=complex)

@@ -34,6 +34,8 @@ __all__ = [
     "angular_offdiagonal",
 ]
 
+_UNITY_QUAD_TOL = 1e-9  # moment_check tolerance behind each unity_reconstruction entry
+
 
 @dataclass(frozen=True)
 class MomentTarget:
@@ -153,7 +155,7 @@ def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float 
     return value, rel_error
 
 
-def unity_reconstruction(params: AlgebraParams, weight: str, k_top: int, quad_tol: float = 1e-9) -> np.ndarray:
+def unity_reconstruction(params: AlgebraParams, weight: str, k_top: int) -> np.ndarray:
     """Diagonal of sum_mu ∫ dρ_mu |z;mu><z;mu| on levels n = 0..k_top*lambda,
     entry by entry from the moment quadratures (off-diagonals vanish by the
     angular integration).  All entries equal 1 when the weight resolves unity.
@@ -175,7 +177,7 @@ def unity_reconstruction(params: AlgebraParams, weight: str, k_top: int, quad_to
     for n in range(entries.size):
         k, mu = divmod(n, lam)
         tgt = moment_target(params, mu, k)
-        value, _ = moment_check(h(mu), mu, k, tgt, quad_tol=quad_tol)
+        value, _ = moment_check(h(mu), mu, k, tgt, quad_tol=_UNITY_QUAD_TOL)
         entries[n] = value / tgt.target
     return entries
 

@@ -18,7 +18,8 @@ against the products level by level, for all sectors at once (one coefficient
 array, one row-wise Horner pass); the lambda = 2, 3 closed forms (closed_forms)
 serve as goldens.
 The products overflow double precision from about lambda = 74
-(lambda <= 73 works at alpha = 0), and build_sga then raises RuntimeError.
+(lambda <= 73 works at alpha = 0); build_sga tests the largest in log space
+and raises RuntimeError before it forms any.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FockRep, AlgebraParams, structure_function
+from .algebra import AlgebraParams, structure_function
 
 __all__ = [
     "SgaRep",
@@ -45,10 +46,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SgaRep:
-    """Diagonals of J_0 (j0), J_+ J_- (jp_jm) and J_- J_+ (jm_jp) on |0> ... |fock.n_max>,
+    """Diagonals of J_0 (j0), J_+ J_- (jp_jm) and J_- J_+ (jm_jp) on |0> ... |n_max>,
     taken from the parameters, so the top levels carry no truncation artifact."""
 
-    fock: FockRep
+    params: AlgebraParams
     j0: np.ndarray
     jp_jm: np.ndarray
     jm_jp: np.ndarray
@@ -72,32 +73,36 @@ class SgaPolynomials:
     h_residual: np.ndarray
 
 
+_LOG_MAX = np.log(np.finfo(float).max)
+
+
 def extraction_n_max(lam: int) -> int:
     """Truncation with room for validation at k up to 3*lam - 1 in every sector."""
     return 3 * lam * lam + 2 * lam
 
 
-def build_sga(fock: FockRep) -> SgaRep:
-    """Form the J_0, J_+ J_- and J_- J_+ diagonals (n_max >= 4*lambda)."""
-    params = fock.params
+def build_sga(params: AlgebraParams, n_max: int) -> SgaRep:
+    """Form the J_0, J_+ J_- and J_- J_+ diagonals on |0> ... |n_max> (n_max >= 4*lambda)."""
     lam = params.lam
-    if fock.n_max < 4 * lam:
-        raise ValueError(
-            f"n_max = {fock.n_max} too small for SGA extraction: need >= {4 * lam}"
-        )
-    n = np.arange(fock.n_max + 1)
+    if n_max < 4 * lam:
+        raise ValueError(f"n_max = {n_max} too small for SGA extraction: need >= {4 * lam}")
+    overflow = f"SGA products overflow double precision at lambda = {lam}, n_max = {n_max}"
+    # F(n + lambda) = F(n) + lambda, so the products grow with n and the top one,
+    # F(n_max + 1) ... F(n_max + lambda) / lambda^2, decides: test it in log space first
+    top = np.log(structure_function(params, np.arange(n_max + 1, n_max + lam + 1))).sum()
+    if top - 2.0 * np.log(lam) > _LOG_MAX:
+        raise RuntimeError(overflow)
+    n = np.arange(n_max + 1)
     # prods[i] = F(i+1-lambda) ... F(i) / lambda^2 for i = 0 .. n_max + lambda, with F(0) = 0
     # below level 1 ending the lowering: J_+ J_- at n is prods[n], J_- J_+ is prods[n + lambda]
-    f = structure_function(params, np.maximum(np.arange(1 - lam, fock.n_max + lam + 1), 0))
-    prods = np.full(fock.n_max + lam + 1, 1.0 / (lam * lam))
+    f = structure_function(params, np.maximum(np.arange(1 - lam, n_max + lam + 1), 0))
+    prods = np.full(n_max + lam + 1, 1.0 / (lam * lam))
     with np.errstate(over="ignore"):
         for j in range(lam):
             prods *= f[j:j + prods.size]
-    if not np.all(np.isfinite(prods[-lam:])):  # each product exceeds the one lambda below it
-        raise RuntimeError(
-            f"SGA products overflow double precision at lambda = {lam}, n_max = {fock.n_max}"
-        )
-    return SgaRep(fock, (n + params.gamma[n % lam] + 0.5) / lam, prods[:n.size], prods[lam:])
+    if not np.all(np.isfinite(prods[-lam:])):  # backstop to the log-space test
+        raise RuntimeError(overflow)
+    return SgaRep(params, (n + params.gamma[n % lam] + 0.5) / lam, prods[:n.size], prods[lam:])
 
 
 def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:
@@ -125,8 +130,8 @@ def _nodes(sga: SgaRep, k_min: int, what: str):
     """Row mu: the levels k lambda + mu, k <= 3 lambda - 1, that keep n + lambda <= n_max
     (a shorter row repeats its last level, which leaves its worst residual unchanged),
     and the gate that asks for k up to k_min."""
-    lam = sga.fock.params.lam
-    n_max = sga.fock.n_max
+    lam = sga.params.lam
+    n_max = sga.j0.size - 1
     mu = np.arange(lam)
     k_avail = (n_max - lam - mu) // lam
     ns = np.minimum(np.arange(3 * lam), k_avail[:, None]) * lam + mu[:, None]
@@ -163,7 +168,7 @@ def extract_f_poly(sga: SgaRep) -> np.ndarray:
     that is not below 1e-8 means the commutator is not polynomial of the
     expected degree and raises (implementation-bug signal).
     """
-    params = sga.fock.params
+    params = sga.params
     lam = params.lam
     ns, enough = _nodes(sga, lam - 1, "f")
     s = (_root_polys(params, -np.arange(lam)) - _root_polys(params, np.arange(1, lam + 1)))[:, :lam]
@@ -179,7 +184,7 @@ def extract_h_poly_and_casimir(sga: SgaRep, s: np.ndarray) -> SgaPolynomials:
     cross-checks the second Casimir form J_+ J_- + h - f at the same levels,
     both to 1e-8 relative to the local magnitude; f = s is validated there too.
     """
-    params = sga.fock.params
+    params = sga.params
     lam = params.lam
     s = np.asarray(s, dtype=float)
     ns, enough = _nodes(sga, lam, "h")

@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _MAX_TERMS = 100_000
+_ML_TOL = 1e-13  # mittag_leffler stops once its tail bound is below this share of the sum
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -31,7 +32,7 @@ def pochhammer(a: float, k: int) -> float:
     return out
 
 
-def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> float:
+def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     """Evaluate E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha k + beta).
 
     Requires alpha > 0 and beta > 0.  Terms are computed in log space so
@@ -58,7 +59,7 @@ def mittag_leffler(alpha: float, beta: float, x: float, tol: float = 1e-13) -> f
         r_next = abs(x) * math.exp(math.lgamma(alpha * k + beta) - math.lgamma(alpha * (k + 1) + beta))
         if r_next < 1.0:
             tail = abs(t) * r_next / (1.0 - r_next)
-            if tail <= tol * abs(total):
+            if tail <= _ML_TOL * abs(total):
                 return total
         if k >= _MAX_TERMS:
             raise RuntimeError("mittag_leffler series did not converge")

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraParams, FockRep
+from .algebra import AlgebraParams, FockRep, build_fock_rep
 from .coherent import CoherentState, build_cs
 
 __all__ = [
@@ -52,13 +52,6 @@ class StatsReport:
     uncertainty_rhs: float
 
 
-def _check_pair(cs: CoherentState, fock: FockRep) -> None:
-    if fock.n_max != cs.n_max:
-        raise ValueError("state and representation use different truncations")
-    if fock.params.lam != cs.params.lam:
-        raise ValueError("state and representation use different lambda")
-
-
 def _number_moments(cs: CoherentState):
     """<N> and <(ΔN)^2>."""
     p = np.abs(cs.coeffs) ** 2
@@ -67,25 +60,20 @@ def _number_moments(cs: CoherentState):
     return mean, float(np.dot(p, n * n)) - mean * mean
 
 
-def mandel_q(cs: CoherentState, fock: FockRep) -> Optional[float]:
+def mandel_q(cs: CoherentState) -> Optional[float]:
     """Q = (<(ΔN)^2> - <N>)/<N>; None when <N> < 1e-12 (Q undefined at the
     sector ground state), so sweeps can pass through z = 0 gracefully.
 
     Negative Q means sub-Poissonian number statistics (antibunching),
     positive super-Poissonian (bunching)."""
-    _check_pair(cs, fock)
     mean, var = _number_moments(cs)
     if mean < 1e-12:
         return None
     return (var - mean) / mean
 
 
-def quadrature_stats(cs: CoherentState, fock: FockRep, kind: str = "dressed") -> QuadratureMoments:
-    """Means, dispersions, and central fourth moments of x and p.
-
-    Fourth moments are plain central moments <(x - <x>)^4>, computed as the
-    squared norm of (x - <x>)^2 |v> so they are nonnegative by construction."""
-    _check_pair(cs, fock)
+def _moments(v: np.ndarray, fock: FockRep, kind: str) -> QuadratureMoments:
+    """quadrature_stats of the coefficient vector v, shifted by the amplitudes in fock."""
 
     def apply_x(u):
         return (fock.raise_(u, kind) + fock.lower(u, kind)) / np.sqrt(2.0)
@@ -93,7 +81,6 @@ def quadrature_stats(cs: CoherentState, fock: FockRep, kind: str = "dressed") ->
     def apply_p(u):
         return 1j * (fock.raise_(u, kind) - fock.lower(u, kind)) / np.sqrt(2.0)
 
-    v = cs.coeffs
     out = []
     for op in (apply_x, apply_p):
         w1 = op(v)
@@ -107,6 +94,14 @@ def quadrature_stats(cs: CoherentState, fock: FockRep, kind: str = "dressed") ->
     return QuadratureMoments(mx, mp, vx, vp, x4, p4)
 
 
+def quadrature_stats(cs: CoherentState, kind: str = "dressed") -> QuadratureMoments:
+    """Means, dispersions, and central fourth moments of x and p.
+
+    Fourth moments are plain central moments <(x - <x>)^4>, computed as the
+    squared norm of (x - <x>)^2 |v> so they are nonnegative by construction."""
+    return _moments(cs.coeffs, build_fock_rep(cs.params, cs.n_max), kind)
+
+
 def uncertainty_rhs(params: AlgebraParams, mu: int) -> float:
     """Sector lower bound on var_x * var_p for dressed quadratures:
     (lambda^2/4) (beta_bar_{mu+1} - beta_bar_mu)^2, which simplifies to
@@ -117,14 +112,14 @@ def uncertainty_rhs(params: AlgebraParams, mu: int) -> float:
     return (params.lam ** 2 / 4.0) * (bb[mu + 1] - bb[mu]) ** 2
 
 
-def squeeze_ratios(cs: CoherentState, fock: FockRep, kind: str = "dressed"):
+def squeeze_ratios(cs: CoherentState, kind: str = "dressed"):
     """(X, P, Y, Q4): the state's var_x, var_p, central_x4, central_p4 divided
     by the same moments of the z = 0 state of its sector.  A ratio below 1 is
     squeezing (second order for X/P, fourth order for Y/Q4)."""
-    _check_pair(cs, fock)
-    ref = build_cs(cs.params, cs.mu, 0.0, n_max=fock.n_max)
-    s = quadrature_stats(cs, fock, kind)
-    s0 = quadrature_stats(ref, fock, kind)
+    fock = build_fock_rep(cs.params, cs.n_max)
+    ref = build_cs(cs.params, cs.mu, 0.0, n_max=cs.n_max)
+    s = _moments(cs.coeffs, fock, kind)
+    s0 = _moments(ref.coeffs, fock, kind)
     return (
         s.var_x / s0.var_x,
         s.var_p / s0.var_p,
@@ -133,17 +128,16 @@ def squeeze_ratios(cs: CoherentState, fock: FockRep, kind: str = "dressed"):
     )
 
 
-def stats_report(cs: CoherentState, fock: FockRep) -> StatsReport:
+def stats_report(cs: CoherentState) -> StatsReport:
     """Bundle every diagnostic for one state."""
-    _check_pair(cs, fock)
     mean_n, var_n = _number_moments(cs)
     return StatsReport(
         mean_n=mean_n,
         var_n=var_n,
-        mandel_q=mandel_q(cs, fock),
-        dressed=quadrature_stats(cs, fock, "dressed"),
-        real=quadrature_stats(cs, fock, "real"),
-        ratios_dressed=squeeze_ratios(cs, fock, "dressed"),
-        ratios_real=squeeze_ratios(cs, fock, "real"),
+        mandel_q=mandel_q(cs),
+        dressed=quadrature_stats(cs, "dressed"),
+        real=quadrature_stats(cs, "real"),
+        ratios_dressed=squeeze_ratios(cs, "dressed"),
+        ratios_real=squeeze_ratios(cs, "real"),
         uncertainty_rhs=uncertainty_rhs(cs.params, cs.mu),
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -84,13 +85,22 @@ def test_sga_lambda17_extracts(capsys):
 
 
 def test_sga_overflow_boundary(capsys):
-    code, out, err = run(capsys, "sga", "--lambda", "72", "--format", "csv")
-    assert code == 0, err
-    code, out, err = run(capsys, "sga", "--lambda", "80", "--format", "csv")
-    assert code == 3
+    for lam, want in ((72, 0), (73, 0), (74, 3), (80, 3)):
+        code, out, err = run(capsys, "sga", "--lambda", str(lam), "--format", "csv")
+        assert code == want, err
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "overflow" in err
+    # the top product is tested in log space before any n_max-long array exists
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "sga", "--lambda", "1000", "--format", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert err.startswith("error:") and "overflow" in err
+    assert peak < 1_000_000
 
 
 def test_sweep_csv_shape_and_determinism(tmp_path, capsys):

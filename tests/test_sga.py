@@ -6,7 +6,6 @@ import pytest
 
 from cyclosc.algebra import (
     validate_params,
-    build_fock_rep,
     energy,
     random_admissible_alpha,
 )
@@ -27,7 +26,7 @@ polyfromroots = np.polynomial.polynomial.polyfromroots
 
 def _sga(lam, alpha):
     p = validate_params(lam, alpha)
-    return p, build_sga(build_fock_rep(p, 3 * lam * lam + 2 * lam))
+    return p, build_sga(p, 3 * lam * lam + 2 * lam)
 
 
 def _dense(lam, alpha):
@@ -42,7 +41,7 @@ def _dense(lam, alpha):
 def test_build_requires_four_periods():
     p = validate_params(2, [0.0, 0.0])
     with pytest.raises(ValueError):
-        build_sga(build_fock_rep(p, 7))
+        build_sga(p, 7)
 
 
 def test_ladder_commutators_interior():
@@ -141,10 +140,10 @@ def test_h_pinned_at_zero():
 
 def test_tampered_representation_detected():
     p = validate_params(2, [0.5, -0.5])
-    sga = build_sga(build_fock_rep(p, 16))
+    sga = build_sga(p, 16)
     bad = sga.jp_jm.copy()
     bad[6] *= 1.0 + 1e-5
-    tampered = SgaRep(sga.fock, sga.j0, bad, sga.jm_jp)
+    tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
     with pytest.raises(RuntimeError, match="sector 0"):
         s = extract_f_poly(tampered)
         extract_h_poly_and_casimir(tampered, s)
@@ -154,10 +153,10 @@ def test_each_sector_keeps_its_own_validation_levels():
     # n_max = 40 at lambda = 4: sector 0 validates up to k = 9 (level 36),
     # sectors 1-3 only up to k = 8, so level 36 is checked by sector 0 alone
     p = validate_params(4, [0] * 4)
-    sga = build_sga(build_fock_rep(p, 40))
+    sga = build_sga(p, 40)
     bad = sga.jp_jm.copy()
     bad[36] *= 1.0 + 1e-5
-    tampered = SgaRep(sga.fock, sga.j0, bad, sga.jm_jp)
+    tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
     with pytest.raises(RuntimeError, match="on sector 0 "):
         extract_f_poly(tampered)
     with pytest.raises(RuntimeError, match="on sector 0 "):
@@ -184,7 +183,7 @@ def test_root_expansion_matches_per_sector_polyfromroots():
 
 def test_extraction_needs_enough_levels():
     p = validate_params(4, [0.0] * 4)
-    sga = build_sga(build_fock_rep(p, 16))  # passes the builder floor ...
+    sga = build_sga(p, 16)  # passes the builder floor ...
     with pytest.raises(ValueError):        # ... but leaves too few fit nodes
         extract_f_poly(sga)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclosc.algebra import validate_params, build_fock_rep, random_admissible_alpha
+from cyclosc.algebra import validate_params, random_admissible_alpha
 from cyclosc.coherent import build_cs
 from cyclosc.stats import (
     mandel_q,
@@ -18,67 +18,67 @@ from cyclosc.verify import dense_operators, dense_quadrature_moments, dense_numb
 def _state(lam, alpha, mu, z):
     p = validate_params(lam, alpha)
     cs = build_cs(p, mu, z)
-    return p, cs, build_fock_rep(p, cs.n_max)
+    return p, cs
 
 
 def test_mandel_q_at_origin():
-    p, cs, fock = _state(2, [0.0, 0.0], 0, 0.0)
-    assert mandel_q(cs, fock) is None  # <N> = 0, Q undefined
-    p, cs, fock = _state(2, [0.0, 0.0], 1, 0.0)
-    assert mandel_q(cs, fock) == -1.0  # number state
+    p, cs = _state(2, [0.0, 0.0], 0, 0.0)
+    assert mandel_q(cs) is None  # <N> = 0, Q undefined
+    p, cs = _state(2, [0.0, 0.0], 1, 0.0)
+    assert mandel_q(cs) == -1.0  # number state
 
 
 def test_mandel_q_frozen_values():
     # lambda = 2, alpha = 0, |z| = 1: Q = +-4/sinh(4)
-    p, cs, fock = _state(2, [0.0, 0.0], 0, 1.0)
-    assert math.isclose(mandel_q(cs, fock), 0.14657428130346245, rel_tol=1e-12)
-    p, cs, fock = _state(2, [0.0, 0.0], 1, 1.0)
-    assert math.isclose(mandel_q(cs, fock), -0.14657428130346245, rel_tol=1e-12)
+    p, cs = _state(2, [0.0, 0.0], 0, 1.0)
+    assert math.isclose(mandel_q(cs), 0.14657428130346245, rel_tol=1e-12)
+    p, cs = _state(2, [0.0, 0.0], 1, 1.0)
+    assert math.isclose(mandel_q(cs), -0.14657428130346245, rel_tol=1e-12)
 
 
 def test_mandel_q_signs_undeformed():
     for r in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
-        p, cs, fock = _state(2, [0.0, 0.0], 0, r)
-        assert mandel_q(cs, fock) > 0.0
-        p, cs, fock = _state(2, [0.0, 0.0], 1, r)
-        assert mandel_q(cs, fock) < 0.0
+        p, cs = _state(2, [0.0, 0.0], 0, r)
+        assert mandel_q(cs) > 0.0
+        p, cs = _state(2, [0.0, 0.0], 1, r)
+        assert mandel_q(cs) < 0.0
 
 
 def test_mandel_q_trend_in_deformation():
     qs = {0: [], 1: []}
     for a0 in (-0.5, 0.0, 0.5, 1.0):
         for mu in (0, 1):
-            p, cs, fock = _state(2, [a0, -a0], mu, 1.0)
-            qs[mu].append(mandel_q(cs, fock))
+            p, cs = _state(2, [a0, -a0], mu, 1.0)
+            qs[mu].append(mandel_q(cs))
     assert all(b > a for a, b in zip(qs[0], qs[0][1:]))  # grows with alpha_0
     assert all(b < a for a, b in zip(qs[1], qs[1][1:]))  # and falls in sector 1
 
 
 def test_mandel_q_sign_reversals():
-    p, cs, fock = _state(2, [-0.5, 0.5], 0, 0.4)
-    q_small = mandel_q(cs, fock)
-    p, cs, fock = _state(2, [-0.5, 0.5], 0, 1.0)
-    assert q_small * mandel_q(cs, fock) < 0.0
-    p, cs, fock = _state(2, [0.5, -0.5], 1, 1.2)
-    q_small = mandel_q(cs, fock)
-    p, cs, fock = _state(2, [0.5, -0.5], 1, 2.0)
-    assert q_small * mandel_q(cs, fock) < 0.0
+    p, cs = _state(2, [-0.5, 0.5], 0, 0.4)
+    q_small = mandel_q(cs)
+    p, cs = _state(2, [-0.5, 0.5], 0, 1.0)
+    assert q_small * mandel_q(cs) < 0.0
+    p, cs = _state(2, [0.5, -0.5], 1, 1.2)
+    q_small = mandel_q(cs)
+    p, cs = _state(2, [0.5, -0.5], 1, 2.0)
+    assert q_small * mandel_q(cs) < 0.0
 
 
 def test_quadrature_means_vanish_for_lambda3():
-    p, cs, fock = _state(3, [-0.5, 0.25, 0.25], 0, 1.3 + 0.4j)
-    m = quadrature_stats(cs, fock, "dressed")
+    p, cs = _state(3, [-0.5, 0.25, 0.25], 0, 1.3 + 0.4j)
+    m = quadrature_stats(cs, "dressed")
     assert m.mean_x == 0.0  # supports lambda >= 3 apart, so <a> = 0 exactly
     assert m.mean_p == 0.0
 
 
 def test_vacuum_dispersions():
-    p, cs, fock = _state(3, [-0.5, 0.25, 0.25], 0, 0.0)
-    m = quadrature_stats(cs, fock, "dressed")
+    p, cs = _state(3, [-0.5, 0.25, 0.25], 0, 0.0)
+    m = quadrature_stats(cs, "dressed")
     assert math.isclose(m.var_x, 0.25, abs_tol=1e-13)
     assert math.isclose(m.var_p, 0.25, abs_tol=1e-13)
-    p, cs, fock = _state(3, [-0.9, -0.5, 1.4], 1, 0.0)
-    m = quadrature_stats(cs, fock, "dressed")
+    p, cs = _state(3, [-0.9, -0.5, 1.4], 1, 0.0)
+    m = quadrature_stats(cs, "dressed")
     assert math.isclose(m.var_x, 0.35, abs_tol=1e-13)
     assert math.isclose(m.var_p, 0.35, abs_tol=1e-13)
     # formula: (lambda/2)(beta_bar_{mu+1} + beta_bar_mu)
@@ -88,16 +88,15 @@ def test_vacuum_dispersions():
         p = validate_params(lam, random_admissible_alpha(lam, rng))
         mu = int(rng.integers(0, lam))
         cs = build_cs(p, mu, 0.0)
-        fock = build_fock_rep(p, cs.n_max)
-        m = quadrature_stats(cs, fock, "dressed")
+        m = quadrature_stats(cs, "dressed")
         want = 0.5 * lam * (p.beta_bar[mu + 1] + p.beta_bar[mu])
         assert abs(m.var_x - want) < 1e-12
         assert abs(m.var_p - want) < 1e-12
 
 
 def test_vacuum_dispersion_real_ladder():
-    p, cs, fock = _state(2, [0.5, -0.5], 0, 0.0)
-    m = quadrature_stats(cs, fock, "real")
+    p, cs = _state(2, [0.5, -0.5], 0, 0.0)
+    m = quadrature_stats(cs, "real")
     assert math.isclose(m.var_x, 0.5, abs_tol=1e-14)
     assert math.isclose(m.var_p, 0.5, abs_tol=1e-14)
 
@@ -119,8 +118,7 @@ def test_uncertainty_saturation_at_origin():
         p = validate_params(lam, alpha)
         for mu in range(lam):
             cs = build_cs(p, mu, 0.0)
-            fock = build_fock_rep(p, cs.n_max)
-            m = quadrature_stats(cs, fock, "dressed")
+            m = quadrature_stats(cs, "dressed")
             prod = m.var_x * m.var_p
             rhs = uncertainty_rhs(p, mu)
             if mu == 0:
@@ -137,8 +135,7 @@ def test_uncertainty_product_holds_off_origin():
         mu = int(rng.integers(0, lam))
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         cs = build_cs(p, mu, z)
-        fock = build_fock_rep(p, cs.n_max)
-        m = quadrature_stats(cs, fock, "dressed")
+        m = quadrature_stats(cs, "dressed")
         assert m.var_x * m.var_p >= uncertainty_rhs(p, mu) - 1e-10
 
 
@@ -148,23 +145,21 @@ def test_fourth_moments_dominate_squared_variance():
         lam = int(rng.integers(2, 5))
         p = validate_params(lam, random_admissible_alpha(lam, rng))
         cs = build_cs(p, 0, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-        fock = build_fock_rep(p, cs.n_max)
-        m = quadrature_stats(cs, fock, "dressed")
+        m = quadrature_stats(cs, "dressed")
         assert m.central_x4 >= m.var_x ** 2 - 1e-12
         assert m.central_p4 >= m.var_p ** 2 - 1e-12
 
 
 def test_squeeze_ratios_are_one_at_origin():
-    p, cs, fock = _state(3, [0.2, 0.3, -0.5], 2, 0.0)
-    assert squeeze_ratios(cs, fock, "dressed") == (1.0, 1.0, 1.0, 1.0)
+    p, cs = _state(3, [0.2, 0.3, -0.5], 2, 0.0)
+    assert squeeze_ratios(cs, "dressed") == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_second_order_squeezing_lambda2():
     p = validate_params(2, [1.0, -1.0])
     for zr in np.linspace(-6.0, -0.1, 12):
         cs = build_cs(p, 0, complex(zr))
-        fock = build_fock_rep(p, cs.n_max)
-        assert squeeze_ratios(cs, fock, "dressed")[0] < 0.9
+        assert squeeze_ratios(cs, "dressed")[0] < 0.9
 
 
 def test_quadrature_exchange_under_sign_flip():
@@ -172,8 +167,8 @@ def test_quadrature_exchange_under_sign_flip():
     for r in (0.5, 1.5, 3.0):
         pos = build_cs(p, 0, complex(r))
         neg = build_cs(p, 0, complex(-r))
-        rp = squeeze_ratios(pos, build_fock_rep(p, pos.n_max))
-        rn = squeeze_ratios(neg, build_fock_rep(p, neg.n_max))
+        rp = squeeze_ratios(pos)
+        rn = squeeze_ratios(neg)
         assert abs(rn[0] - rp[1]) < 1e-10
         assert abs(rn[1] - rp[0]) < 1e-10
 
@@ -185,8 +180,7 @@ def test_no_second_order_squeezing_odd_lambda():
             if zr == 0.0:
                 continue
             cs = build_cs(p, 0, complex(zr))
-            fock = build_fock_rep(p, cs.n_max)
-            assert squeeze_ratios(cs, fock, "dressed")[0] >= 1.0 - 1e-10
+            assert squeeze_ratios(cs, "dressed")[0] >= 1.0 - 1e-10
 
 
 def test_fourth_order_squeezing_lambda4():
@@ -194,8 +188,7 @@ def test_fourth_order_squeezing_lambda4():
     best = 9.0
     for r in np.geomspace(0.01, 0.5, 20):
         cs = build_cs(p, 0, complex(-r))
-        fock = build_fock_rep(p, cs.n_max)
-        best = min(best, squeeze_ratios(cs, fock, "dressed")[2])
+        best = min(best, squeeze_ratios(cs, "dressed")[2])
     assert best < 0.95
     assert best > 0.9
 
@@ -208,32 +201,28 @@ def test_dual_route_agreement():
         mu = int(rng.integers(0, lam))
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         cs = build_cs(p, mu, z)
-        fock = build_fock_rep(p, cs.n_max)
         dense = dense_operators(p, cs.n_max)
         for kind in ("dressed", "real"):
-            m = quadrature_stats(cs, fock, kind)
+            m = quadrature_stats(cs, kind)
             s = dense_quadrature_moments(dense, cs.coeffs, kind)
             for field in ("mean_x", "mean_p", "var_x", "var_p", "central_x4", "central_p4"):
                 assert abs(getattr(m, field) - getattr(s, field)) < 1e-11
-        rep = stats_report(cs, fock)
+        rep = stats_report(cs)
         sn, sn2 = dense_number_moments(dense, cs.coeffs)
         assert abs(rep.mean_n - sn) < 1e-11
         assert abs(rep.var_n - (sn2 - sn * sn)) < 1e-11
 
 
 def test_report_bundles_consistently():
-    p, cs, fock = _state(2, [0.5, -0.5], 1, 1.2)
-    rep = stats_report(cs, fock)
-    assert rep.mandel_q == mandel_q(cs, fock)
+    p, cs = _state(2, [0.5, -0.5], 1, 1.2)
+    rep = stats_report(cs)
+    assert rep.mandel_q == mandel_q(cs)
     assert rep.uncertainty_rhs == uncertainty_rhs(p, 1)
-    assert rep.ratios_dressed == squeeze_ratios(cs, fock, "dressed")
-    assert rep.dressed == quadrature_stats(cs, fock, "dressed")
+    assert rep.ratios_dressed == squeeze_ratios(cs, "dressed")
+    assert rep.dressed == quadrature_stats(cs, "dressed")
 
 
 def test_kind_validation():
-    p, cs, fock = _state(2, [0.0, 0.0], 0, 1.0)
+    p, cs = _state(2, [0.0, 0.0], 0, 1.0)
     with pytest.raises(ValueError):
-        quadrature_stats(cs, fock, "bare")
-    other = build_fock_rep(p, cs.n_max + 4)
-    with pytest.raises(ValueError):
-        quadrature_stats(cs, other)
+        quadrature_stats(cs, "bare")
