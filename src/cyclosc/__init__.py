@@ -23,8 +23,7 @@ from .sga import (
     SgaRep,
     SgaPolynomials,
     build_sga,
-    extract_f_poly,
-    extract_h_poly_and_casimir,
+    extract_polynomials,
     closed_forms,
 )
 from .coherent import (

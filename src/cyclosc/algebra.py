@@ -83,9 +83,9 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     F(mu) = beta_mu + mu > 0 for mu = 1..lambda-1, so every Fock state has
     positive norm.
     """
-    lam = int(lam)
-    if lam < 2:
+    if int(lam) != lam or lam < 2:
         raise ValueError(f"lambda must be an integer >= 2, got {lam}")
+    lam = int(lam)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (lam,):
         raise ValueError(f"alpha must have length {lam}, got {alpha.size}")

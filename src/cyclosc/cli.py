@@ -20,14 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraParams, validate_params, energy
-from .sga import (
-    build_sga,
-    extraction_n_max,
-    extract_f_poly,
-    extract_h_poly_and_casimir,
-    closed_forms,
-)
-from .coherent import build_cs, TruncationError
+from .sga import build_sga, extract_polynomials, closed_forms
+from .coherent import build_cs
 from .stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from .verify import run_suites, SUITES
 
@@ -169,13 +163,11 @@ def cmd_info(args) -> int:
 def cmd_sga(args) -> int:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
     lam = params.lam
-    sga = build_sga(params, extraction_n_max(lam))
-    s = extract_f_poly(sga)
-    poly = extract_h_poly_and_casimir(sga, s)
+    poly = extract_polynomials(build_sga(params))
 
     if args.format == "csv":
         lines = ["kind,mu,power,value"]
-        for mu, (s_mu, t_mu, c_mu) in enumerate(zip(s.tolist(), poly.t.tolist(), poly.c.tolist())):
+        for mu, (s_mu, t_mu, c_mu) in enumerate(zip(poly.s.tolist(), poly.t.tolist(), poly.c.tolist())):
             lines += [f"f,{mu},{i},{v:.17g}" for i, v in enumerate(s_mu)]
             lines += [f"h,{mu},{i},{v:.17g}" for i, v in enumerate(t_mu)]
             lines.append(f"casimir,{mu},0,{c_mu:.17g}")
@@ -185,7 +177,7 @@ def cmd_sga(args) -> int:
         for mu in range(lam):
             lines.append(f"sector {mu}:")
             lines.append("  [J+,J-] coefficients (1, J0, ...): "
-                         + ", ".join(f"{v:.12g}" for v in s[mu]))
+                         + ", ".join(f"{v:.12g}" for v in poly.s[mu]))
             lines.append("  h coefficients (1, J0, ...):       "
                          + ", ".join(f"{v:.12g}" for v in poly.t[mu]))
             lines.append(f"  casimir: {poly.c[mu]:.12g}")
@@ -193,7 +185,7 @@ def cmd_sga(args) -> int:
     dev = None
     cf = closed_forms(params)
     if cf is not None:
-        dev = max(float(np.max(np.abs(got - want))) for got, want in zip((s, poly.t, poly.c), cf))
+        dev = max(float(np.max(np.abs(got - want))) for got, want in zip((poly.s, poly.t, poly.c), cf))
         if args.format != "csv":
             lines.append(f"closed-form max deviation: {dev:.3e}")
     _write_out("\n".join(lines) + "\n", args.out)
@@ -270,9 +262,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TruncationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

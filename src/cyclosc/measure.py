@@ -89,9 +89,9 @@ def weight_photon(lam: int, mu: int, y: float) -> float:
 
     The y -> 0 singularity is integrable; the u = y^{1/lambda} substitution
     used by moment_check removes it exactly."""
+    if int(lam) != lam or lam < 2:
+        raise ValueError(f"lambda must be an integer >= 2, got {lam}")
     lam = int(lam)
-    if lam < 2:
-        raise ValueError("lambda must be >= 2")
     if not 0 <= mu < lam:
         raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
     if y <= 0:
@@ -110,11 +110,15 @@ def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float 
     Substitutes u = y^{1/lambda} first (removing the endpoint singularity of
     the photon weight), cuts the upper range where an exponential-decay tail
     estimate drops below quad_tol * target, and returns (value, rel_error).
-    Raises if the cut search or the quadrature fails to converge.
+    (mu, k) must be the target's.  Raises if the cut search or the quadrature
+    fails to converge.
     scipy.integrate is imported here, on first use, not with the package.
     """
     from scipy.integrate import quad
 
+    if (mu, k) != (target.mu, target.k):
+        raise ValueError(f"moment (mu, k) = ({mu}, {k}) does not match the target's "
+                         f"({target.mu}, {target.k})")
     if k > 12:
         raise ValueError("moment order k must be <= 12")
     lam = target.lam

@@ -13,10 +13,12 @@ J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
 prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n>; on sector mu each equals
 lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod
 lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
-f, h and the Casimir eigenvalues are expanded from those roots and validated
-against the products level by level, for all sectors at once (one coefficient
-array, one row-wise Horner pass); the lambda = 2, 3 closed forms (closed_forms)
-serve as goldens.
+One call, extract_polynomials(build_sga(params)), gives f, h and the Casimir
+eigenvalues: they are expanded from those roots and validated against the
+products at the levels k lambda + mu, k <= 3 lambda - 1, of the fixed
+truncation extraction_n_max(lambda), for all sectors at once (one coefficient
+array, one row-wise Horner pass); the lambda = 2, 3 closed forms
+(closed_forms) serve as goldens.
 The products overflow double precision from about lambda = 74
 (lambda <= 73 works at alpha = 0); build_sga tests the largest in log space
 and raises RuntimeError before it forms any.
@@ -38,8 +40,7 @@ __all__ = [
     "SgaPolynomials",
     "extraction_n_max",
     "build_sga",
-    "extract_f_poly",
-    "extract_h_poly_and_casimir",
+    "extract_polynomials",
     "closed_forms",
 ]
 
@@ -77,15 +78,16 @@ _LOG_MAX = np.log(np.finfo(float).max)
 
 
 def extraction_n_max(lam: int) -> int:
-    """Truncation with room for validation at k up to 3*lam - 1 in every sector."""
+    """The truncation of build_sga and of verify's dense matrices: every validation
+    level n = k lam + mu, k <= 3 lam - 1, keeps n + lam <= n_max, so a truncated
+    J_- J_+ is exact there."""
     return 3 * lam * lam + 2 * lam
 
 
-def build_sga(params: AlgebraParams, n_max: int) -> SgaRep:
-    """Form the J_0, J_+ J_- and J_- J_+ diagonals on |0> ... |n_max> (n_max >= 4*lambda)."""
+def build_sga(params: AlgebraParams) -> SgaRep:
+    """Form the J_0, J_+ J_- and J_- J_+ diagonals on |0> ... |extraction_n_max(lambda)>."""
     lam = params.lam
-    if n_max < 4 * lam:
-        raise ValueError(f"n_max = {n_max} too small for SGA extraction: need >= {4 * lam}")
+    n_max = extraction_n_max(lam)
     overflow = f"SGA products overflow double precision at lambda = {lam}, n_max = {n_max}"
     # F(n + lambda) = F(n) + lambda, so the products grow with n and the top one,
     # F(n_max + 1) ... F(n_max + lambda) / lambda^2, decides: test it in log space first
@@ -126,81 +128,47 @@ def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nodes(sga: SgaRep, k_min: int, what: str):
-    """Row mu: the levels k lambda + mu, k <= 3 lambda - 1, that keep n + lambda <= n_max
-    (a shorter row repeats its last level, which leaves its worst residual unchanged),
-    and the gate that asks for k up to k_min."""
-    lam = sga.params.lam
-    n_max = sga.j0.size - 1
-    mu = np.arange(lam)
-    k_avail = (n_max - lam - mu) // lam
-    ns = np.minimum(np.arange(3 * lam), k_avail[:, None]) * lam + mu[:, None]
-    return ns, (k_avail, k_avail >= k_min, ValueError,
-                f"n_max = {n_max} leaves too few interior levels in sector {{mu}} "
-                f"to fit {what} (need k up to {k_min}, have {{v}})")
-
-
-def _raise_first(*gates) -> None:
-    """Each gate is (values, passed, exception type, message on mu and v).  Raise for the
-    first sector that fails a gate, and there for the first gate, as a sector loop would."""
-    failed = ~np.array([gate[1] for gate in gates])
+def _raise_first(resid: np.ndarray, message: str) -> None:
+    """Raise for the first sector whose residual is not below 1e-8 ('not below', so
+    that a NaN residual fails too), as a sector loop would."""
+    failed = ~(resid < 1e-8)
     if failed.any():
-        mu, i = np.argwhere(failed.T)[0]
-        values, _, exc, message = gates[i]
-        raise exc(message.format(mu=mu, v=values[mu]))
+        mu = int(np.argmax(failed))
+        raise RuntimeError(message.format(mu=mu, v=resid[mu]))
 
 
-def _f_gate(sga: SgaRep, s: np.ndarray, ns: np.ndarray):
-    """Per sector, the worst relative deviation of f from [J_+, J_-] at the levels ns."""
-    comm = sga.jp_jm[ns] - sga.jm_jp[ns]
-    resid = np.max(np.abs(_horner(s, sga.j0[ns]) - comm) / np.maximum(1.0, np.abs(comm)), axis=1)
-    return (resid, resid < 1e-8, RuntimeError,  # '<' so that a NaN residual fails too
-            f"[J_+, J_-] is not a degree-{s.shape[1] - 1} polynomial in J_0 on "
-            "sector {mu} (validation residual {v:.3e})")
+def extract_polynomials(sga: SgaRep) -> SgaPolynomials:
+    """Per sector, f with [J_+, J_-] = f(J_0) (degree lambda-1), h with
+    J_- J_+ + h(J_0) constant (degree lambda, h(0) = 0) and that constant,
+    the Casimir eigenvalue c_mu, all expanded from the roots of the two
+    products.
 
-
-def extract_f_poly(sga: SgaRep) -> np.ndarray:
-    """Per sector, the degree-(lambda-1) polynomial with [J_+, J_-] = f(J_0),
-    the difference of the two root-form products, validated against the
-    diagonal products at every level k lambda + mu with k <= 3*lambda-1.
-
-    Returns the (lambda, lambda) coefficient array s.  A relative residual
-    that is not below 1e-8 means the commutator is not polynomial of the
-    expected degree and raises (implementation-bug signal).
+    Validated at every level k lambda + mu with k <= 3*lambda-1: f against
+    J_+ J_- - J_- J_+, then constancy of J_- J_+ + h and of the second
+    Casimir form J_+ J_- + h - f, each to 1e-8 relative to the local
+    magnitude.  A residual that is not below 1e-8 raises RuntimeError
+    (implementation-bug signal), f's over all sectors before h's.
     """
     params = sga.params
     lam = params.lam
-    ns, enough = _nodes(sga, lam - 1, "f")
-    s = (_root_polys(params, -np.arange(lam)) - _root_polys(params, np.arange(1, lam + 1)))[:, :lam]
-    _raise_first(enough, _f_gate(sga, s, ns))
-    return s
-
-
-def extract_h_poly_and_casimir(sga: SgaRep, s: np.ndarray) -> SgaPolynomials:
-    """Per sector, the degree-lambda polynomial h with J_- J_+ + h(J_0)
-    constant, pinning h(0) = 0 so the constant is the Casimir eigenvalue c_mu.
-
-    Validates constancy at every level k lambda + mu with k <= 3*lambda-1 and
-    cross-checks the second Casimir form J_+ J_- + h - f at the same levels,
-    both to 1e-8 relative to the local magnitude; f = s is validated there too.
-    """
-    params = sga.params
-    lam = params.lam
-    s = np.asarray(s, dtype=float)
-    ns, enough = _nodes(sga, lam, "h")
-    f_gate = _f_gate(sga, s, ns)
     t = -_root_polys(params, np.arange(1, lam + 1))  # J_- J_+ = c - h
+    s = (_root_polys(params, -np.arange(lam)) + t)[:, :lam]
     c = -t[:, 0]
     t[:, 0] = 0.0
-    x, g = sga.j0[ns], sga.jm_jp[ns]
+    ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]  # row mu: k lambda + mu
+    x, low, g = sga.j0[ns], sga.jp_jm[ns], sga.jm_jp[ns]
+    f_val = _horner(s, x)
+    comm = low - g
+    f_resid = np.max(np.abs(f_val - comm) / np.maximum(1.0, np.abs(comm)), axis=1)
+    _raise_first(f_resid, f"[J_+, J_-] is not a degree-{lam - 1} polynomial in J_0 on "
+                          "sector {mu} (validation residual {v:.3e})")
     h_val = _horner(t, x)
-    second = sga.jp_jm[ns] + h_val - _horner(s, x)
+    second = low + h_val - f_val
     dev = np.maximum(np.abs(g + h_val - c[:, None]), np.abs(second - c[:, None]))
     h_resid = np.max(dev / np.maximum(1.0, np.abs(g)), axis=1)
-    _raise_first(enough, f_gate, (h_resid, h_resid < 1e-8, RuntimeError,
-                                  "J_- J_+ + h(J_0) is not constant on sector {mu} "
-                                  "(worst deviation {v:.3e})"))
-    return SgaPolynomials(s, t, c, f_gate[0], h_resid)
+    _raise_first(h_resid, "J_- J_+ + h(J_0) is not constant on sector {mu} "
+                          "(worst deviation {v:.3e})")
+    return SgaPolynomials(s, t, c, f_resid, h_resid)
 
 
 def closed_forms(params: AlgebraParams):

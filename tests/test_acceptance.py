@@ -15,8 +15,7 @@ from cyclosc.algebra import (
 )
 from cyclosc.sga import (
     build_sga,
-    extract_f_poly,
-    extract_h_poly_and_casimir,
+    extract_polynomials,
     closed_forms,
 )
 from cyclosc.coherent import build_cs, eigen_residual, mittag_leffler_check
@@ -65,11 +64,9 @@ def test_02_sga_polynomials_match_closed_forms():
     for lam in (2, 3):
         for _ in range(25):
             p = validate_params(lam, random_admissible_alpha(lam, rng))
-            sga = build_sga(p, 3 * lam * lam + 2 * lam)
-            s = extract_f_poly(sga)
-            poly = extract_h_poly_and_casimir(sga, s)
+            poly = extract_polynomials(build_sga(p))
             dev = max(float(np.max(np.abs(got - want)))
-                      for got, want in zip((s, poly.t, poly.c), closed_forms(p)))
+                      for got, want in zip((poly.s, poly.t, poly.c), closed_forms(p)))
             worst = max(worst, dev)
             assert dev <= 1e-9
     dt = time.perf_counter() - t0

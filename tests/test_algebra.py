@@ -41,6 +41,13 @@ def test_validate_rejects_bad_input():
         validate_params(2, [-1.0, 1.0])  # F(1) = 0 closes the ladder
 
 
+def test_validate_rejects_non_integral_lambda():
+    # int() would truncate 2.9 to 2 and accept the length-2 alpha
+    with pytest.raises(ValueError, match="integer"):
+        validate_params(2.9, [0.5, -0.5])
+    assert validate_params(2.0, [0.5, -0.5]).lam == 2
+
+
 @pytest.mark.parametrize("alpha", [
     [float("nan"), float("nan")],
     [float("inf"), float("-inf")],

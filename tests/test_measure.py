@@ -148,5 +148,16 @@ def test_domain_errors():
         moment_target(p2, 0, -1)
     with pytest.raises(ValueError):
         moment_target(p2, 5, 0)
-    with pytest.raises(ValueError):
-        moment_check(lambda y: weight_photon(2, 0, y), 0, 13, moment_target(p2, 0, 0))
+    with pytest.raises(ValueError, match="k must be <= 12"):
+        moment_check(lambda y: weight_photon(2, 0, y), 0, 13, moment_target(p2, 0, 13))
+    with pytest.raises(ValueError, match="integer"):
+        weight_photon(2.5, 0, 1.0)
+
+
+def test_moment_check_rejects_a_target_of_another_moment():
+    p = validate_params(3, [0.0] * 3)
+    w = lambda y: weight_photon(3, 2, y)
+    with pytest.raises(ValueError, match=r"\(mu, k\) = \(2, 5\) does not match the target's \(0, 3\)"):
+        moment_check(w, 2, 5, moment_target(p, 0, 3))
+    with pytest.raises(ValueError, match="does not match"):
+        moment_check(w, 2, 3, moment_target(p, 0, 3))

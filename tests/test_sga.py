@@ -12,8 +12,7 @@ from cyclosc.algebra import (
 from cyclosc.sga import (
     SgaRep,
     build_sga,
-    extract_f_poly,
-    extract_h_poly_and_casimir,
+    extract_polynomials,
     closed_forms,
     _root_polys,
 )
@@ -26,7 +25,7 @@ polyfromroots = np.polynomial.polynomial.polyfromroots
 
 def _sga(lam, alpha):
     p = validate_params(lam, alpha)
-    return p, build_sga(p, 3 * lam * lam + 2 * lam)
+    return p, build_sga(p)
 
 
 def _dense(lam, alpha):
@@ -36,12 +35,6 @@ def _dense(lam, alpha):
     j_plus = np.linalg.matrix_power(ops.a_dag, lam) / lam
     j_minus = np.linalg.matrix_power(ops.a, lam) / lam
     return p, n_max, (j_plus, j_minus, ops.h0 / lam)
-
-
-def test_build_requires_four_periods():
-    p = validate_params(2, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        build_sga(p, 7)
 
 
 def test_ladder_commutators_interior():
@@ -62,8 +55,8 @@ def test_jminus_kills_sector_floors():
 def test_lambda2_closed_forms():
     for a0 in (-0.5, 0.0, 0.5, 2.0):
         p, sga = _sga(2, [a0, -a0])
-        s = extract_f_poly(sga)
-        poly = extract_h_poly_and_casimir(sga, s)
+        poly = extract_polynomials(sga)
+        s = poly.s
         assert np.allclose(s, [[0.0, -2.0]] * 2, atol=1e-10)
         assert np.allclose(poly.t, [[0.0, -1.0, -1.0]] * 2, atol=1e-10)
         expect_c = [(1 + a0) * (3 - a0) / 16, (1 - a0) * (3 + a0) / 16]
@@ -80,27 +73,24 @@ def test_lambda3_closed_forms_match_extraction():
     rng = np.random.default_rng(11)
     for _ in range(6):
         p, sga = _sga(3, random_admissible_alpha(3, rng))
-        s = extract_f_poly(sga)
-        poly = extract_h_poly_and_casimir(sga, s)
+        poly = extract_polynomials(sga)
         cf_s, cf_t, cf_c = closed_forms(p)
         assert (cf_s.shape, cf_t.shape, cf_c.shape) == ((3, 3), (3, 4), (3,))
-        assert np.max(np.abs(s - cf_s)) < 1e-9
+        assert np.max(np.abs(poly.s - cf_s)) < 1e-9
         assert np.max(np.abs(poly.t - cf_t)) < 1e-9
         assert np.max(np.abs(poly.c - cf_c)) < 1e-9
 
 
 def test_lambda3_undeformed_values():
     p, sga = _sga(3, [0.0, 0.0, 0.0])
-    s = extract_f_poly(sga)
-    poly = extract_h_poly_and_casimir(sga, s)
-    assert np.allclose(s, [[-5.0 / 12.0, 0.0, -9.0]] * 3, atol=1e-10)
+    poly = extract_polynomials(sga)
+    assert np.allclose(poly.s, [[-5.0 / 12.0, 0.0, -9.0]] * 3, atol=1e-10)
     assert np.allclose(poly.c, [5.0 / 24.0] * 3, atol=1e-10)
 
 
 def test_lambda2_undeformed_casimir():
     p, sga = _sga(2, [0.0, 0.0])
-    s = extract_f_poly(sga)
-    poly = extract_h_poly_and_casimir(sga, s)
+    poly = extract_polynomials(sga)
     assert np.allclose(poly.c, [3.0 / 16.0] * 2, atol=1e-12)
 
 
@@ -117,8 +107,7 @@ def test_lowest_j0_eigenvalue_per_sector():
 
 def test_casimir_constant_along_sectors():
     p, sga = _sga(4, [0.3, -0.1, 0.2, -0.4])
-    s = extract_f_poly(sga)
-    poly = extract_h_poly_and_casimir(sga, s)
+    poly = extract_polynomials(sga)
     _, _, (j_plus, j_minus, _) = _dense(4, [0.3, -0.1, 0.2, -0.4])
     g = np.diag(j_minus @ j_plus)
     for mu in range(4):
@@ -134,33 +123,42 @@ def test_h_pinned_at_zero():
     rng = np.random.default_rng(23)
     for lam in (2, 3, 4):
         p, sga = _sga(lam, random_admissible_alpha(lam, rng))
-        poly = extract_h_poly_and_casimir(sga, extract_f_poly(sga))
+        poly = extract_polynomials(sga)
         assert np.max(np.abs(poly.t[:, 0])) == 0.0
 
 
 def test_tampered_representation_detected():
-    p = validate_params(2, [0.5, -0.5])
-    sga = build_sga(p, 16)
+    _, sga = _sga(2, [0.5, -0.5])
     bad = sga.jp_jm.copy()
     bad[6] *= 1.0 + 1e-5
     tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
-    with pytest.raises(RuntimeError, match="sector 0"):
-        s = extract_f_poly(tampered)
-        extract_h_poly_and_casimir(tampered, s)
+    with pytest.raises(RuntimeError, match=r"\[J_\+, J_-\] is not a degree-1 polynomial in J_0 on sector 0 "):
+        extract_polynomials(tampered)
 
 
-def test_each_sector_keeps_its_own_validation_levels():
-    # n_max = 40 at lambda = 4: sector 0 validates up to k = 9 (level 36),
-    # sectors 1-3 only up to k = 8, so level 36 is checked by sector 0 alone
-    p = validate_params(4, [0] * 4)
-    sga = build_sga(p, 40)
-    bad = sga.jp_jm.copy()
-    bad[36] *= 1.0 + 1e-5
-    tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
-    with pytest.raises(RuntimeError, match="on sector 0 "):
-        extract_f_poly(tampered)
-    with pytest.raises(RuntimeError, match="on sector 0 "):
-        extract_h_poly_and_casimir(tampered, extract_f_poly(sga))
+def test_top_validated_level_is_checked_in_every_sector():
+    # levels k lambda + mu with k <= 3 lambda - 1: the top one of sector mu is (3 lambda - 1) lambda + mu
+    lam = 4
+    _, sga = _sga(lam, [0.3, -0.1, 0.2, -0.4])
+    for mu in range(lam):
+        bad = sga.jp_jm.copy()
+        bad[(3 * lam - 1) * lam + mu] *= 1.0 + 1e-5
+        tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
+        with pytest.raises(RuntimeError, match=f"on sector {mu} "):
+            extract_polynomials(tampered)
+
+
+def test_h_gate_catches_a_shift_that_leaves_f_intact():
+    # the same offset on J_+ J_- and J_- J_+ keeps their difference, so only h fails
+    _, sga = _sga(3, [-0.5, 0.25, 0.25])
+    n = 2 * 3  # sector 0, k = 2
+    offset = 1e-5 * sga.jm_jp[n]
+    up, down = sga.jp_jm.copy(), sga.jm_jp.copy()
+    up[n] += offset
+    down[n] += offset
+    tampered = SgaRep(sga.params, sga.j0, up, down)
+    with pytest.raises(RuntimeError, match=r"J_- J_\+ \+ h\(J_0\) is not constant on sector 0 "):
+        extract_polynomials(tampered)
 
 
 def _loop_root_poly(p, mu, shifts):
@@ -179,13 +177,6 @@ def test_root_expansion_matches_per_sector_polyfromroots():
                     want = _loop_root_poly(p, mu, shifts.tolist())
                     bound = 1e-14 * np.sum(np.abs(want) * (3.0 * lam) ** np.arange(lam + 1))
                     assert np.max(np.abs(got[mu] - want)) <= bound, (lam, alpha, mu)
-
-
-def test_extraction_needs_enough_levels():
-    p = validate_params(4, [0.0] * 4)
-    sga = build_sga(p, 16)  # passes the builder floor ...
-    with pytest.raises(ValueError):        # ... but leaves too few fit nodes
-        extract_f_poly(sga)
 
 
 def _rational_alpha(lam, rng):
