@@ -25,6 +25,8 @@ __all__ = [
     "random_admissible_alpha",
 ]
 
+_LOG_MAX = np.log(np.finfo(float).max)  # exp overflows a double above this
+
 
 @dataclass(frozen=True)
 class AlgebraParams:
@@ -116,12 +118,12 @@ def structure_function(params: AlgebraParams, n):
     return n + params.beta[n % params.lam]
 
 
-def energy(params: AlgebraParams, n: int) -> float:
-    """Eigenvalue of h0 on |n>: n + gamma_{n mod lambda} + 1/2.
+def energy(params: AlgebraParams, n):
+    """Eigenvalue of h0 on |n>: n + gamma_{n mod lambda} + 1/2, elementwise.
 
     Within each residue class the spectrum is equally spaced with gap lambda.
     """
-    return float(n + params.gamma[n % params.lam] + 0.5)
+    return n + params.gamma[n % params.lam] + 0.5
 
 
 def build_fock_rep(params: AlgebraParams, n_max: int) -> FockRep:

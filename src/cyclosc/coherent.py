@@ -18,10 +18,10 @@ series term by term as the independent reference.  States are normalized
 by dividing by sqrt(N_mu), so the truncated Euclidean norm differs from 1
 only by the reported tail bound.
 
-Two boundaries raise TruncationError: the default max_levels = 512 (reached
-at |z| = 144.9 for lambda = 2, alpha = 0), and, with more levels, N_mu
-leaving the double range (log N_mu > 709.78: |z| = 355.2 for lambda = 2,
-6318 for lambda = 3, alpha = 0, mu = 0).
+The adaptive truncation is sized from |z| alone, so the one boundary on a
+state is N_mu leaving the double range: log N_mu > 709.78 raises
+TruncationError, from |z| = 355.2 for lambda = 2 and 6318 for lambda = 3
+(alpha = 0, mu = 0).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, build_fock_rep, structure_function
+from .algebra import _LOG_MAX, AlgebraParams, build_fock_rep, structure_function
 from .specfun import mittag_leffler
 
 __all__ = [
@@ -44,8 +44,13 @@ __all__ = [
 
 
 class TruncationError(RuntimeError):
-    """The coefficient series does not fit in the requested or maximum
-    Fock-space truncation."""
+    """The coefficient series does not fit in the requested Fock-space
+    truncation, or its norm N_mu overflows double precision."""
+
+
+# Terms still rising at k = K give log N_mu >= K log K - log K! > _LOG_MAX from K = 714
+# (each earlier term ratio is at least K/j times the K-th): no first block need be longer.
+_K_RISE = 714
 
 
 @dataclass(frozen=True)
@@ -62,21 +67,27 @@ class CoherentState:
         return self.coeffs.size - 1
 
 
-def build_cs(
-    params: AlgebraParams,
-    mu: int,
-    z: complex,
-    n_max: int = None,
-    max_levels: int = 512,
-) -> CoherentState:
+def _log_terms(params: AlgebraParams, mu: int, abs_z: float, k_top: int):
+    """log|d_k| and log sum_{j <= k} |d_j|^2 for k = 0..k_top, from
+    log|d_k| = k log(lambda |z|) - (1/2) sum_{mu < j <= k lambda + mu} log F(j)."""
+    lam = params.lam
+    log_f = np.cumsum(np.log(structure_function(params, np.arange(mu + 1, k_top * lam + mu + 1))))
+    log_mag = np.arange(k_top + 1) * (math.log(lam) + math.log(abs_z))
+    log_mag[1:] -= 0.5 * log_f[lam - 1::lam]
+    return log_mag, np.logaddexp.accumulate(2.0 * log_mag)
+
+
+def build_cs(params: AlgebraParams, mu: int, z: complex, n_max: int = None) -> CoherentState:
     """Construct the normalized coherent state |z; mu>.
 
     With n_max omitted the truncation is chosen adaptively: the smallest
     k lambda + mu at which the next coefficient magnitude drops below 1e-16
-    of the accumulated norm (floored at max(4 lambda, mu + 6)),
-    capped at max_levels.  An explicit n_max must leave the first dropped
-    coefficient below 1e-13 of the running norm, else TruncationError.
-    A norm N_mu beyond the double range raises TruncationError too.
+    of the accumulated norm (floored at max(4 lambda, mu + 6)), scanned over a
+    block past the alpha = 0 peak of |d_k| that doubles until the test fires.
+    An explicit n_max must leave the first dropped coefficient below 1e-13 of
+    the running norm, else TruncationError.  So does a norm N_mu beyond the
+    double range (log N_mu > 709.78), in bounded memory for every finite |z|;
+    a z whose modulus overflows is a ValueError.
 
     Coefficient phases follow arg(z): the |mu> coefficient is real positive
     and the k-th coefficient carries phase k*arg(z), accumulated by repeated
@@ -86,8 +97,8 @@ def build_cs(
     if not 0 <= mu < lam:
         raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"z must be finite, got {z}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):  # abs(z) raises OverflowError instead
+        raise ValueError(f"|z| must be finite, got {z}")
     if n_max is not None and int(n_max) < mu:
         raise TruncationError(f"n_max = {int(n_max)} cannot hold level {mu}")
     floor = max(4 * lam, mu + 6)
@@ -96,30 +107,26 @@ def build_cs(
         coeffs[mu] = 1.0
         return CoherentState(params, mu, z, coeffs, 1.0, 0.0)
 
-    # log|d_k| on the levels mu, mu + lambda, ..., two past the largest allowed n_max:
-    # k log(lambda |z|) - (1/2) sum_{mu < j <= k lambda + mu} log F(j)
-    top = (max_levels if n_max is None else int(n_max)) + 2 * lam
-    log_f = np.cumsum(np.log(structure_function(params, np.arange(mu + 1, top + 1))))
-    log_mag = np.arange((top - mu) // lam + 1) * (math.log(lam) + math.log(abs(z)))
-    log_mag[1:] -= 0.5 * log_f[lam - 1::lam]
-    log_acc = np.logaddexp.accumulate(2.0 * log_mag)  # log of the running norm
-
     if n_max is None:
         k_lo = -((mu - floor) // lam)  # the first k with k lambda + mu >= floor
-        k_hi = (max_levels - mu) // lam
-        small = np.flatnonzero(
-            log_mag[k_lo + 1:k_hi + 2] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_hi + 1]
-        )
-        if not small.size:
-            raise TruncationError(
-                f"coherent-state series at |z| = {abs(z):.6g} needs more than "
-                f"max_levels = {max_levels} Fock levels"
-            )
-        k_last = k_lo + int(small[0])
+        # k* = (|z|^2 / lambda^(lambda-2))^(1/lambda), the alpha = 0 peak of |d_k|: one block past
+        # it fits sampled states (lambda <= 12, |z| <= 3000); doubling from k_lo runs log2(k*) blocks
+        log_k_star = (2.0 * math.log(abs(z)) - (lam - 2) * math.log(lam)) / lam
+        k_star = math.exp(min(log_k_star, math.log(_K_RISE)))
+        k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
+        while True:
+            log_mag, log_acc = _log_terms(params, mu, abs(z), k_top)
+            small = np.flatnonzero(log_mag[k_lo + 1:k_top] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_top - 1])
+            if small.size or log_acc[-1] > _LOG_MAX:
+                break
+            k_top *= 2
+        # with no stop the block's whole sum has overflowed: the test below names it
+        k_last = k_lo + int(small[0]) if small.size else k_top - 2
         nm = k_last * lam + mu
     else:
         nm = int(n_max)
         k_last = (nm - mu) // lam
+        log_mag, log_acc = _log_terms(params, mu, abs(z), k_last + 2)
         dropped = log_mag[k_last + 1] - 0.5 * log_acc[k_last]
         if dropped >= math.log(1e-13):
             raise TruncationError(
@@ -127,20 +134,19 @@ def build_cs(
                 f"dropped coefficient is {math.exp(dropped):.3e} of the norm"
             )
 
+    log_norm = float(log_acc[k_last + 2])
+    if log_norm > _LOG_MAX:
+        raise TruncationError(
+            f"normalization N_{mu} >= exp({log_norm:.6g}) at |z| = {abs(z):.6g} "
+            "overflows double precision"
+        )
     # bound the dropped squared weight by a geometric tail on |d_k|^2
     r = math.exp(log_mag[k_last + 2] - log_mag[k_last + 1])
     if r >= 1.0:
         raise TruncationError(
             f"coefficient magnitudes still growing past n_max = {nm} at |z| = {abs(z):.6g}"
         )
-    log_norm = float(log_acc[k_last + 2])
-    try:
-        norm_factor = math.exp(log_norm)
-    except OverflowError:
-        raise TruncationError(
-            f"normalization N_{mu} = exp({log_norm:.6g}) at |z| = {abs(z):.6g} "
-            "overflows double precision"
-        ) from None
+    norm_factor = math.exp(log_norm)
     tail_bound = math.exp(2.0 * log_mag[k_last + 1] - math.log1p(-r * r) - log_norm)
 
     phases = np.full(k_last + 1, z / abs(z))

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _UNITY_QUAD_TOL = 1e-9  # moment_check tolerance behind each unity_reconstruction entry
+_N_PHI = 64  # phases in angular_offdiagonal's average
 
 
 @dataclass(frozen=True)
@@ -186,19 +187,19 @@ def unity_reconstruction(params: AlgebraParams, weight: str, k_top: int) -> np.n
     return entries
 
 
-def angular_offdiagonal(params: AlgebraParams, mu: int, r: float, n_phi: int = 64) -> float:
+def angular_offdiagonal(params: AlgebraParams, mu: int, r: float) -> float:
     """Largest off-diagonal magnitude of the phase average
-    (1/n_phi) sum_j |r e^{i phi_j}; mu><...| over phi_j = 2 pi j / n_phi.
+    (1/_N_PHI) sum_j |r e^{i phi_j}; mu><...| over phi_j = 2 pi j / _N_PHI.
 
     The k-th coefficient carries phase k*phi, so every off-diagonal element
     averages to zero; this spot-checks the angular part of the unity integral.
     """
     ref = build_cs(params, mu, complex(r))
     acc = np.zeros((ref.n_max + 1, ref.n_max + 1), dtype=complex)
-    for j in range(n_phi):
-        phi = 2.0 * math.pi * j / n_phi
+    for j in range(_N_PHI):
+        phi = 2.0 * math.pi * j / _N_PHI
         v = build_cs(params, mu, r * complex(math.cos(phi), math.sin(phi)), n_max=ref.n_max).coeffs
         acc += np.outer(v, v.conj())
-    acc /= n_phi
+    acc /= _N_PHI
     np.fill_diagonal(acc, 0.0)
     return float(np.max(np.abs(acc)))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, structure_function
+from .algebra import _LOG_MAX, AlgebraParams, energy, structure_function
 
 __all__ = [
     "SgaRep",
@@ -74,9 +74,6 @@ class SgaPolynomials:
     h_residual: np.ndarray
 
 
-_LOG_MAX = np.log(np.finfo(float).max)
-
-
 def extraction_n_max(lam: int) -> int:
     """The truncation of build_sga and of verify's dense matrices: every validation
     level n = k lam + mu, k <= 3 lam - 1, keeps n + lam <= n_max, so a truncated
@@ -104,7 +101,7 @@ def build_sga(params: AlgebraParams) -> SgaRep:
             prods *= f[j:j + prods.size]
     if not np.all(np.isfinite(prods[-lam:])):  # backstop to the log-space test
         raise RuntimeError(overflow)
-    return SgaRep(params, (n + params.gamma[n % lam] + 0.5) / lam, prods[:n.size], prods[lam:])
+    return SgaRep(params, energy(params, n) / lam, prods[:n.size], prods[lam:])
 
 
 def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ def test_structure_function_fixtures():
 def test_energy_fixtures():
     p = validate_params(2, [0.5, -0.5])
     assert [energy(p, n) for n in (0, 1, 2)] == [0.75, 1.75, 2.75]
+    assert energy(p, np.arange(3)).tolist() == [0.75, 1.75, 2.75]
     # within a residue class the spacing is lambda
     assert energy(p, 5) - energy(p, 3) == 2.0
 

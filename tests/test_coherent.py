@@ -1,13 +1,16 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from cyclosc.algebra import validate_params, random_admissible_alpha
+from cyclosc import coherent
+from cyclosc.algebra import validate_params, random_admissible_alpha, structure_function
+from cyclosc.cli import main
 from cyclosc.verify import dense_operators, suite_cs, _brute_norm
 from cyclosc.coherent import (
     TruncationError,
@@ -171,8 +174,6 @@ def test_phase_convention():
 def test_truncation_error_paths():
     p = validate_params(2, [0.0, 0.0])
     with pytest.raises(TruncationError):
-        build_cs(p, 0, 50.0, max_levels=40)
-    with pytest.raises(TruncationError):
         build_cs(p, 0, 3.0, n_max=10)
 
 
@@ -248,16 +249,20 @@ def test_log_space_coefficients_match_lgamma_route(lam):
                 assert abs(math.log(cs.norm_factor) - log_norm) < 1e-11
 
 
-def test_default_level_cap_is_named():
+def test_large_labels_built_by_default():
+    # representable up to the N_mu overflow at |z| = 355.2, with no level cap on the way
     p = validate_params(2, [0.0, 0.0])
-    with pytest.raises(TruncationError, match="max_levels = 512"):
-        build_cs(p, 0, 400.0)
+    for r, n_max in ((150.0, 526), (300.0, 912), (355.0, 1046)):
+        cs = build_cs(p, 0, r)
+        assert cs.n_max == n_max
+        assert math.isfinite(cs.norm_factor)
+        assert abs(np.linalg.norm(cs.coeffs) - 1.0) < 1e-12
 
 
 def test_large_label_against_mpmath():
     # lambda = 2, alpha = 0: d_k = (2z)^k / sqrt((2k)!), N_0 = cosh(2|z|)
     p = validate_params(2, [0.0, 0.0])
-    cs = build_cs(p, 0, 340.0, max_levels=4096)
+    cs = build_cs(p, 0, 340.0)
     with mpmath.workdps(40):
         two_z = mpmath.mpf(680)
         scale = mpmath.sqrt(mpmath.cosh(two_z))
@@ -269,5 +274,99 @@ def test_large_label_against_mpmath():
 
 def test_norm_overflow_is_named():
     p = validate_params(2, [0.0, 0.0])
-    with pytest.raises(TruncationError, match=r"normalization N_0 = exp\(\d+\.?\d*\) .* overflows double precision"):
-        build_cs(p, 0, 400.0, max_levels=4096)
+    with pytest.raises(TruncationError, match=r"normalization N_0 >= exp\(\d+\.?\d*\) .* overflows double precision"):
+        build_cs(p, 0, 400.0)
+
+
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _full_block_scan(p, mu, z, levels=4096):
+    """The adaptive stop test applied over one fixed block of Fock levels, as
+    build_cs scanned before its block was sized from |z|.  Returns
+    (log N_mu over the block, coefficients), the coefficients None when N_mu
+    overflows."""
+    lam = p.lam
+    top = levels + 2 * lam
+    log_f = np.cumsum(np.log(structure_function(p, np.arange(mu + 1, top + 1))))
+    log_mag = np.arange((top - mu) // lam + 1) * (math.log(lam) + math.log(abs(z)))
+    log_mag[1:] -= 0.5 * log_f[lam - 1::lam]
+    log_acc = np.logaddexp.accumulate(2.0 * log_mag)
+    k_lo = -((mu - max(4 * lam, mu + 6)) // lam)
+    small = np.flatnonzero(log_mag[k_lo + 1:-1] < math.log(1e-16) + 0.5 * log_acc[k_lo:-2])
+    if not small.size or log_acc[k_lo + small[0] + 2] > _LOG_MAX:
+        assert log_acc[-1] > _LOG_MAX, "block too short for the reference"
+        return log_acc[-1], None
+    k_last = k_lo + int(small[0])
+    log_norm = log_acc[k_last + 2]
+    phases = np.full(k_last + 1, z / abs(z))
+    phases[0] = 1.0
+    coeffs = np.zeros(k_last * lam + mu + 1, dtype=complex)
+    coeffs[mu::lam] = np.exp(log_mag[:k_last + 1] - 0.5 * log_norm) * np.cumprod(phases)
+    return log_acc[-1], coeffs
+
+
+@pytest.mark.parametrize("first_block", ["sized", "one-term"])
+def test_adaptive_truncation_matches_full_block_scan(first_block, monkeypatch):
+    if first_block == "one-term":
+        # a first block of about one peak width exercises the doubling
+        monkeypatch.setattr(coherent, "_K_RISE", 1)
+    rng = np.random.default_rng(2024)
+    for lam in range(2, 9):
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            for mu in range(lam):
+                # bisect log|z| for the N_mu overflow boundary of the reference
+                lo, hi = 0.0, 80.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if _full_block_scan(p, mu, math.exp(mid))[0] <= _LOG_MAX else (lo, mid)
+                edge = math.exp(lo)
+                for r in [*np.geomspace(1e-3, edge, 10), edge * (1 - 1e-9), edge * 1.01]:
+                    z = cmath.rect(r, rng.uniform(-math.pi, math.pi))
+                    _, ref = _full_block_scan(p, mu, z)
+                    if ref is None:
+                        with pytest.raises(TruncationError, match="overflows double precision"):
+                            build_cs(p, mu, z)
+                        continue
+                    cs = build_cs(p, mu, z)
+                    assert cs.n_max == ref.size - 1, (lam, mu, r)
+                    assert np.array_equal(cs.coeffs, ref), (lam, mu, r)
+
+
+@pytest.mark.parametrize("lam, r", [
+    (2, 356.0), (2, 1e6), (2, 1e150), (2, 1e300),
+    (3, 1e6), (3, 1e150), (3, 1e300),
+    (12, 1e150), (12, 1e300),
+])
+def test_huge_label_fails_fast(lam, r, capsys):
+    # every radius past the lambda's N_mu boundary (355.2, 6318, between 1e16 and 1e17)
+    p = validate_params(lam, [0.0] * lam)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match=r"N_0 >= exp\(.*\) .* overflows double precision"):
+            build_cs(p, 0, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    code = main(["sweep", "--lambda", str(lam), "--quantity", "X",
+                 "--r-from", repr(r), "--r-to", repr(2 * r), "--steps", "2"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error:") and "overflows double precision" in err[0]
+
+
+@pytest.mark.parametrize("lam", [2, 3, 12])
+def test_infinite_modulus_is_bad_input(lam, capsys):
+    # finite parts whose modulus overflows: |z| = inf has no log-space terms
+    p = validate_params(lam, [0.0] * lam)
+    z = complex(1.5e308, 1.5e308)
+    for n_max in (None, 4 * lam):
+        with pytest.raises(ValueError, match=r"\|z\| must be finite"):
+            build_cs(p, 0, z, n_max=n_max)
+    code = main(["sweep", "--lambda", str(lam), "--quantity", "X",
+                 "--z-from", "1.5e308+1.5e308j", "--z-to", "0", "--steps", "2"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: |z| must be finite")
