@@ -57,21 +57,22 @@ class FockRep:
     sqrt_f: np.ndarray
     sqrt_n: np.ndarray
 
-    def _amplitudes(self, kind: str) -> np.ndarray:
+    def amplitudes(self, kind: str) -> np.ndarray:
+        """sqrt_f for kind='dressed', sqrt_n for kind='real'."""
         if kind not in ("dressed", "real"):
             raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
         return self.sqrt_f if kind == "dressed" else self.sqrt_n
 
     def lower(self, v, kind: str = "dressed") -> np.ndarray:
         """a v (b v for kind='real'): (a v)[n-1] = amp[n] v[n]."""
-        shifted = self._amplitudes(kind)[1:] * v[1:]
+        shifted = self.amplitudes(kind)[1:] * v[1:]
         out = np.zeros(shifted.size + 1, shifted.dtype)
         out[:-1] = shifted
         return out
 
     def raise_(self, v, kind: str = "dressed") -> np.ndarray:
         """a† v (b† v for kind='real'): (a† v)[n] = amp[n] v[n-1]."""
-        shifted = self._amplitudes(kind)[1:] * v[:-1]
+        shifted = self.amplitudes(kind)[1:] * v[:-1]
         out = np.zeros(shifted.size + 1, shifted.dtype)
         out[1:] = shifted
         return out

@@ -109,7 +109,10 @@ def evaluate_point(spec: SweepSpec, z: complex) -> float:
     cs = build_cs(spec.params, spec.mu, z)
     if spec.quantity == "mandel-q":
         q = mandel_q(cs)
-        return float("nan") if q is None else q
+        if q is None:
+            raise ValueError(f"mandel-q is undefined at z = {z:.6g} in sector mu = {spec.mu}: "
+                             "<N> < 1e-12 there")
+        return q
     if spec.quantity == "var-x":
         return quadrature_stats(cs, spec.kind).var_x
     if spec.quantity == "var-p":

@@ -7,6 +7,13 @@ builds x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) from the deformed ladder
 pair, "real" uses the canonical pair (b, b†).  Squeezing ratios compare a
 state's central moments to those of the z = 0 state of the same sector (the
 number state |mu>, which plays the role of the vacuum there).
+
+All quadrature moments come from one kernel, `_moments`, which takes a stack
+of coefficient vectors and applies x and p together as a two-row stencil on
+the ladder amplitudes; means, dispersions and fourth moments are `vecdot`
+reductions over the last axis.  A squeezing ratio is one pass over the stack
+[state, vacuum].  On vectors of ~50 levels numpy's per-call overhead, not the
+arithmetic, sets the cost, so the kernel makes few calls over many rows.
 """
 
 from __future__ import annotations
@@ -61,8 +68,9 @@ def _number_moments(cs: CoherentState):
 
 
 def mandel_q(cs: CoherentState) -> Optional[float]:
-    """Q = (<(ΔN)^2> - <N>)/<N>; None when <N> < 1e-12 (Q undefined at the
-    sector ground state), so sweeps can pass through z = 0 gracefully.
+    """Q = (<(ΔN)^2> - <N>)/<N>; None when <N> < 1e-12, where Q is undefined
+    (the sector-0 ground state z = 0 and its immediate neighbourhood).  The
+    caller decides what None means: `cyclosc sweep` refuses it as bad input.
 
     Negative Q means sub-Poissonian number statistics (antibunching),
     positive super-Poissonian (bunching)."""
@@ -72,26 +80,56 @@ def mandel_q(cs: CoherentState) -> Optional[float]:
     return (var - mean) / mean
 
 
-def _moments(v: np.ndarray, fock: FockRep, kind: str) -> QuadratureMoments:
-    """quadrature_stats of the coefficient vector v, shifted by the amplitudes in fock."""
+# coefficients of a† in x and p; those of a are their conjugates
+_STENCIL = np.array([[1.0], [1j]]) * np.sqrt(0.5)
 
-    def apply_x(u):
-        return (fock.raise_(u, kind) + fock.lower(u, kind)) / np.sqrt(2.0)
 
-    def apply_p(u):
-        return 1j * (fock.raise_(u, kind) - fock.lower(u, kind)) / np.sqrt(2.0)
+def _moments(v: np.ndarray, fock: FockRep, kind: str) -> np.ndarray:
+    """Quadrature moments of every coefficient vector along v's last axis.
 
-    out = []
-    for op in (apply_x, apply_p):
-        w1 = op(v)
-        mean = float(np.real(np.vdot(v, w1)))
-        w1 -= mean * v
-        var = float(np.real(np.vdot(w1, w1)))
-        w2 = op(w1) - mean * w1
-        m4 = float(np.real(np.vdot(w2, w2)))
-        out.append((mean, var, m4))
-    (mx, vx, x4), (mp, vp, p4) = out
-    return QuadratureMoments(mx, mp, vx, vp, x4, p4)
+    Returns shape v.shape[:-1] + (3, 2): rows mean, dispersion and central
+    fourth moment, columns x and p, so one vector's block flattens in
+    QuadratureMoments field order.  x and p act together as a two-row
+    stencil: a† enters with the coefficients (1, i)/sqrt(2) times the ladder
+    amplitudes, a with their conjugates.  Each row is reduced on its own, so
+    a stack gives bit for bit the results of its rows one at a time."""
+    up = _STENCIL * fock.amplitudes(kind)[1:]
+    down = up.conj()
+    shape = v.shape[:-1] + (2, v.shape[-1])
+
+    def apply(u):  # x on row 0, p on row 1
+        w = np.zeros(shape, complex)
+        np.multiply(up, u[..., :-1], out=w[..., 1:])
+        w[..., :-1] += down * u[..., 1:]
+        return w
+
+    v = v[..., None, :]
+    m = np.empty(v.shape[:-2] + (3, 2), complex)
+    w1 = apply(v)
+    np.vecdot(v, w1, out=m[..., 0, :])
+    mean = m[..., 0, :, None].real
+    w1 -= mean * v
+    w2 = apply(w1)
+    w2 -= mean * w1
+    np.vecdot(w1, w1, out=m[..., 1, :])
+    np.vecdot(w2, w2, out=m[..., 2, :])
+    return m.real
+
+
+def _as_record(m: np.ndarray) -> QuadratureMoments:
+    return QuadratureMoments(*m.ravel().tolist())
+
+
+def _ratios(m: np.ndarray) -> Tuple[float, float, float, float]:
+    """(X, P, Y, Q4) from the moments of a [state, vacuum] stack."""
+    return tuple((m[0, 1:] / m[1, 1:]).ravel().tolist())
+
+
+def _with_vacuum(cs: CoherentState):
+    """The state's FockRep and its coefficients stacked over those of the
+    z = 0 state of its sector, at the same truncation."""
+    ref = build_cs(cs.params, cs.mu, 0.0, n_max=cs.n_max)
+    return build_fock_rep(cs.params, cs.n_max), np.array([cs.coeffs, ref.coeffs])
 
 
 def quadrature_stats(cs: CoherentState, kind: str = "dressed") -> QuadratureMoments:
@@ -99,7 +137,7 @@ def quadrature_stats(cs: CoherentState, kind: str = "dressed") -> QuadratureMome
 
     Fourth moments are plain central moments <(x - <x>)^4>, computed as the
     squared norm of (x - <x>)^2 |v> so they are nonnegative by construction."""
-    return _moments(cs.coeffs, build_fock_rep(cs.params, cs.n_max), kind)
+    return _as_record(_moments(cs.coeffs, build_fock_rep(cs.params, cs.n_max), kind))
 
 
 def uncertainty_rhs(params: AlgebraParams, mu: int) -> float:
@@ -116,28 +154,23 @@ def squeeze_ratios(cs: CoherentState, kind: str = "dressed"):
     """(X, P, Y, Q4): the state's var_x, var_p, central_x4, central_p4 divided
     by the same moments of the z = 0 state of its sector.  A ratio below 1 is
     squeezing (second order for X/P, fourth order for Y/Q4)."""
-    fock = build_fock_rep(cs.params, cs.n_max)
-    ref = build_cs(cs.params, cs.mu, 0.0, n_max=cs.n_max)
-    s = _moments(cs.coeffs, fock, kind)
-    s0 = _moments(ref.coeffs, fock, kind)
-    return (
-        s.var_x / s0.var_x,
-        s.var_p / s0.var_p,
-        s.central_x4 / s0.central_x4,
-        s.central_p4 / s0.central_p4,
-    )
+    fock, stack = _with_vacuum(cs)
+    return _ratios(_moments(stack, fock, kind))
 
 
 def stats_report(cs: CoherentState) -> StatsReport:
-    """Bundle every diagnostic for one state."""
+    """Bundle every diagnostic for one state: one [state, vacuum] moment
+    pass per ladder pair."""
     mean_n, var_n = _number_moments(cs)
+    fock, stack = _with_vacuum(cs)
+    dressed, real = (_moments(stack, fock, kind) for kind in ("dressed", "real"))
     return StatsReport(
         mean_n=mean_n,
         var_n=var_n,
         mandel_q=mandel_q(cs),
-        dressed=quadrature_stats(cs, "dressed"),
-        real=quadrature_stats(cs, "real"),
-        ratios_dressed=squeeze_ratios(cs, "dressed"),
-        ratios_real=squeeze_ratios(cs, "real"),
+        dressed=_as_record(dressed[0]),
+        real=_as_record(real[0]),
+        ratios_dressed=_ratios(dressed),
+        ratios_real=_ratios(real),
         uncertainty_rhs=uncertainty_rhs(cs.params, cs.mu),
     )

@@ -139,6 +139,23 @@ def test_sweep_mandel_positive(capsys):
     assert all(v > 0.0 for v in vals)
 
 
+def test_sweep_mandel_undefined_at_ground_state_is_bad_input(capsys):
+    # <N> = 0 at z = 0 in sector 0: Q is undefined, so no NaN row is printed
+    code, out, err = run(
+        capsys, "sweep", "--lambda", "2", "--quantity", "mandel-q",
+        "--r-from", "0", "--r-to", "1", "--steps", "3",
+    )
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error:")
+    assert "z = 0+0j" in err and "mu = 0" in err and "<N> < 1e-12" in err
+    code, out, err = run(
+        capsys, "sweep", "--lambda", "2", "--mu", "1", "--quantity", "mandel-q",
+        "--r-from", "0", "--r-to", "1", "--steps", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "-1"  # a number state elsewhere
+
+
 def test_sweep_argument_validation(capsys):
     base = ["sweep", "--lambda", "2", "--quantity", "var-x"]
     assert main(base + ["--r-from", "0", "--r-to", "1", "--steps", "1"]) == 1

@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from cyclosc.algebra import validate_params, random_admissible_alpha
+from cyclosc.algebra import build_fock_rep, validate_params, random_admissible_alpha
 from cyclosc.coherent import build_cs
 from cyclosc.stats import (
+    _moments,
     mandel_q,
     quadrature_stats,
     uncertainty_rhs,
@@ -153,6 +155,29 @@ def test_fourth_moments_dominate_squared_variance():
 def test_squeeze_ratios_are_one_at_origin():
     p, cs = _state(3, [0.2, 0.3, -0.5], 2, 0.0)
     assert squeeze_ratios(cs, "dressed") == (1.0, 1.0, 1.0, 1.0)
+    for lam in (2, 4):
+        p = validate_params(lam, [0.0] * lam)
+        for mu in range(lam):
+            cs = build_cs(p, mu, 0.0)
+            for kind in ("dressed", "real"):
+                assert squeeze_ratios(cs, kind) == (1.0, 1.0, 1.0, 1.0)
+            rep = stats_report(cs)
+            assert rep.ratios_dressed == rep.ratios_real == (1.0, 1.0, 1.0, 1.0)
+
+
+def test_stacked_moments_equal_rows_bitwise():
+    rng = np.random.default_rng(43)
+    for lam in (2, 3, 5):
+        p = validate_params(lam, random_admissible_alpha(lam, rng))
+        mu = int(rng.integers(0, lam))
+        states = [build_cs(p, mu, complex(*rng.uniform(-3, 3, 2)), n_max=80) for _ in range(4)]
+        stack = np.stack([cs.coeffs for cs in states])
+        fock = build_fock_rep(p, 80)
+        for kind in ("dressed", "real"):
+            rows = np.stack([_moments(v, fock, kind) for v in stack])
+            assert rows.shape == (4, 3, 2)
+            assert np.array_equal(_moments(stack, fock, kind), rows)
+            assert np.array_equal(_moments(stack.reshape(2, 2, -1), fock, kind), rows.reshape(2, 2, 3, 2))
 
 
 def test_second_order_squeezing_lambda2():
@@ -211,6 +236,25 @@ def test_dual_route_agreement():
         sn, sn2 = dense_number_moments(dense, cs.coeffs)
         assert abs(rep.mean_n - sn) < 1e-11
         assert abs(rep.var_n - (sn2 - sn * sn)) < 1e-11
+    # squeezing ratios against the dense quadratic forms, every sector, at
+    # uniform random phases.  On the real axis, from |z| ~ 60 at lambda = 2,
+    # the dense <v|c^4|v> of the squeezed quadrature loses digits to
+    # cancellation (3e-12 from an mpmath reference at |z| = 90, where the
+    # stencil route stays within 1e-13), so this bound holds off that axis.
+    fields = ("var_x", "var_p", "central_x4", "central_p4")
+    for lam in range(2, 6):
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            radii = (0.3, 1.7, 3.5) + ((12.0, 40.0, 90.0) if lam == 2 else ())
+            for mu, r in itertools.product(range(lam), radii):
+                cs = build_cs(p, mu, r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+                ref = build_cs(p, mu, 0.0, n_max=cs.n_max)
+                dense = dense_operators(p, cs.n_max)
+                for kind in ("dressed", "real"):
+                    s, s0 = (dense_quadrature_moments(dense, v, kind) for v in (cs.coeffs, ref.coeffs))
+                    want = [getattr(s, f) / getattr(s0, f) for f in fields]
+                    for got, w in zip(squeeze_ratios(cs, kind), want):
+                        assert abs(got - w) <= 1e-12 * abs(w), (lam, mu, r, kind)
 
 
 def test_report_bundles_consistently():
@@ -220,6 +264,8 @@ def test_report_bundles_consistently():
     assert rep.uncertainty_rhs == uncertainty_rhs(p, 1)
     assert rep.ratios_dressed == squeeze_ratios(cs, "dressed")
     assert rep.dressed == quadrature_stats(cs, "dressed")
+    assert rep.ratios_real == squeeze_ratios(cs, "real")
+    assert rep.real == quadrature_stats(cs, "real")
 
 
 def test_kind_validation():
