@@ -1,6 +1,5 @@
 import cmath
 import math
-import re
 import tracemalloc
 
 import mpmath
@@ -11,7 +10,7 @@ from scipy import special
 from cyclosc import coherent
 from cyclosc.algebra import validate_params, random_admissible_alpha, structure_function
 from cyclosc.cli import main
-from cyclosc.verify import dense_operators, suite_cs, _brute_norm
+from cyclosc.verify import dense_operators, _brute_norm
 from cyclosc.coherent import (
     TruncationError,
     build_cs,
@@ -103,16 +102,6 @@ def test_eigen_residual_equivalent_form():
     w[cs.n_max - 2:] = 0.0
     r2 = np.linalg.norm(w) / 3.0 / max(abs(z), 1.0)
     assert abs(r1 - r2) < 1e-13
-
-
-def test_cs_checks_report_a_measured_deviation():
-    results = suite_cs(seed=0)
-    for name in ("cs-eigen-equivalent-form", "cs-phase-convention"):
-        found = [r for r in results if r.name == name]
-        assert found, name
-        for r in found:
-            m = re.search(r" dev=(\S+)$", r.detail)
-            assert m and math.isfinite(float(m.group(1))), r.detail
 
 
 def test_factorial_coefficients_undeformed():
