@@ -30,6 +30,7 @@ from .coherent import (
     CoherentState,
     TruncationError,
     build_cs,
+    stack_coeffs,
     eigen_residual,
     mittag_leffler_check,
 )

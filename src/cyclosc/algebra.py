@@ -86,7 +86,7 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     F(mu) = beta_mu + mu > 0 for mu = 1..lambda-1, so every Fock state has
     positive norm.
     """
-    if int(lam) != lam or lam < 2:
+    if not 2 <= lam < np.inf or int(lam) != lam:  # int() of inf or NaN raises its own error
         raise ValueError(f"lambda must be an integer >= 2, got {lam}")
     lam = int(lam)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -111,6 +111,13 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     beta_bar = (beta + np.arange(lam + 1)) / lam
     gamma = 0.5 * (beta[:lam] + np.concatenate([beta[1:lam], [0.0]]))
     return AlgebraParams(lam, alpha, beta, beta_bar, gamma)
+
+
+def _check_mu(lam: int, mu) -> int:
+    """mu as an int sector label 0..lam-1, else ValueError."""
+    if not 0 <= mu < lam or int(mu) != mu:
+        raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
+    return int(mu)
 
 
 def structure_function(params: AlgebraParams, n):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, validate_params, energy
+from .algebra import AlgebraParams, _check_mu, validate_params, energy
 from .sga import build_sga, extract_polynomials, closed_forms
 from .coherent import build_cs
 from .stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
@@ -74,8 +74,7 @@ class SweepSpec:
 
 def make_sweep_spec(args) -> SweepSpec:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
-    if not 0 <= args.mu < params.lam:
-        raise ValueError(f"mu must be in 0..{params.lam - 1}, got {args.mu}")
+    mu = _check_mu(params.lam, args.mu)
     if args.steps < 2:
         raise ValueError(f"steps must be at least 2, got {args.steps}")
     z_given = args.z_from is not None or args.z_to is not None
@@ -102,7 +101,7 @@ def make_sweep_spec(args) -> SweepSpec:
         points = tuple(
             complex((args.r_from + (args.r_to - args.r_from) * t) * ph) for t in ts
         )
-    return SweepSpec(params, args.mu, args.photons, args.quantity, points)
+    return SweepSpec(params, mu, args.photons, args.quantity, points)
 
 
 def evaluate_point(spec: SweepSpec, z: complex) -> float:

@@ -18,10 +18,11 @@ series term by term as the independent reference.  States are normalized
 by dividing by sqrt(N_mu), so the truncated Euclidean norm differs from 1
 only by the reported tail bound.
 
-The adaptive truncation is sized from |z| alone, so the one boundary on a
-state is N_mu leaving the double range: log N_mu > 709.78 raises
-TruncationError, from |z| = 355.2 for lambda = 2 and 6318 for lambda = 3
-(alpha = 0, mu = 0).
+Each state has one truncation rule, sized from |z| alone, so states differ
+in length; stack_coeffs zero-pads them onto one basis where states are
+compared.  The one boundary on a state is N_mu leaving the double range:
+log N_mu > 709.78 raises TruncationError, from |z| = 355.2 for lambda = 2
+and 6318 for lambda = 3 (alpha = 0, mu = 0).
 """
 
 from __future__ import annotations
@@ -31,21 +32,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _LOG_MAX, AlgebraParams, build_fock_rep, structure_function
+from .algebra import _LOG_MAX, AlgebraParams, _check_mu, build_fock_rep, structure_function
 from .specfun import mittag_leffler
 
 __all__ = [
     "TruncationError",
     "CoherentState",
     "build_cs",
+    "stack_coeffs",
     "eigen_residual",
     "mittag_leffler_check",
 ]
 
 
 class TruncationError(RuntimeError):
-    """The coefficient series does not fit in the requested Fock-space
-    truncation, or its norm N_mu overflows double precision."""
+    """The norm N_mu of the coefficient series overflows double precision."""
 
 
 # Terms still rising at k = K give log N_mu >= K log K - log K! > _LOG_MAX from K = 714
@@ -77,62 +78,46 @@ def _log_terms(params: AlgebraParams, mu: int, abs_z: float, k_top: int):
     return log_mag, np.logaddexp.accumulate(2.0 * log_mag)
 
 
-def build_cs(params: AlgebraParams, mu: int, z: complex, n_max: int = None) -> CoherentState:
+def build_cs(params: AlgebraParams, mu: int, z: complex) -> CoherentState:
     """Construct the normalized coherent state |z; mu>.
 
-    With n_max omitted the truncation is chosen adaptively: the smallest
-    k lambda + mu at which the next coefficient magnitude drops below 1e-16
-    of the accumulated norm (floored at max(4 lambda, mu + 6)), scanned over a
-    block past the alpha = 0 peak of |d_k| that doubles until the test fires.
-    An explicit n_max must leave the first dropped coefficient below 1e-13 of
-    the running norm, else TruncationError.  So does a norm N_mu beyond the
-    double range (log N_mu > 709.78), in bounded memory for every finite |z|;
-    a z whose modulus overflows is a ValueError.
+    The truncation is the smallest k lambda + mu at which the next coefficient
+    magnitude drops below 1e-16 of the accumulated norm (floored at
+    max(4 lambda, mu + 6)), scanned over a block past the alpha = 0 peak of
+    |d_k| that doubles until the test fires.  A norm N_mu beyond the double
+    range (log N_mu > 709.78) raises TruncationError, in bounded memory for
+    every finite |z|; a z whose modulus overflows is a ValueError.  States of
+    different truncations share a basis through stack_coeffs.
 
     Coefficient phases follow arg(z): the |mu> coefficient is real positive
     and the k-th coefficient carries phase k*arg(z), accumulated by repeated
     multiplication rather than a complex logarithm.
     """
     lam = params.lam
-    if not 0 <= mu < lam:
-        raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
+    mu = _check_mu(lam, mu)
     z = complex(z)
     if not math.isfinite(math.hypot(z.real, z.imag)):  # abs(z) raises OverflowError instead
         raise ValueError(f"|z| must be finite, got {z}")
-    if n_max is not None and int(n_max) < mu:
-        raise TruncationError(f"n_max = {int(n_max)} cannot hold level {mu}")
     floor = max(4 * lam, mu + 6)
     if z == 0:
-        coeffs = np.zeros((floor if n_max is None else int(n_max)) + 1, dtype=complex)
+        coeffs = np.zeros(floor + 1, dtype=complex)
         coeffs[mu] = 1.0
         return CoherentState(params, mu, z, coeffs, 1.0, 0.0)
 
-    if n_max is None:
-        k_lo = -((mu - floor) // lam)  # the first k with k lambda + mu >= floor
-        # k* = (|z|^2 / lambda^(lambda-2))^(1/lambda), the alpha = 0 peak of |d_k|: one block past
-        # it fits sampled states (lambda <= 12, |z| <= 3000); doubling from k_lo runs log2(k*) blocks
-        log_k_star = (2.0 * math.log(abs(z)) - (lam - 2) * math.log(lam)) / lam
-        k_star = math.exp(min(log_k_star, math.log(_K_RISE)))
-        k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
-        while True:
-            log_mag, log_acc = _log_terms(params, mu, abs(z), k_top)
-            small = np.flatnonzero(log_mag[k_lo + 1:k_top] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_top - 1])
-            if small.size or log_acc[-1] > _LOG_MAX:
-                break
-            k_top *= 2
-        # with no stop the block's whole sum has overflowed: the test below names it
-        k_last = k_lo + int(small[0]) if small.size else k_top - 2
-        nm = k_last * lam + mu
-    else:
-        nm = int(n_max)
-        k_last = (nm - mu) // lam
-        log_mag, log_acc = _log_terms(params, mu, abs(z), k_last + 2)
-        dropped = log_mag[k_last + 1] - 0.5 * log_acc[k_last]
-        if dropped >= math.log(1e-13):
-            raise TruncationError(
-                f"n_max = {nm} is insufficient at |z| = {abs(z):.6g}: first "
-                f"dropped coefficient is {math.exp(dropped):.3e} of the norm"
-            )
+    k_lo = -((mu - floor) // lam)  # the first k with k lambda + mu >= floor
+    # k* = (|z|^2 / lambda^(lambda-2))^(1/lambda), the alpha = 0 peak of |d_k|: one block past
+    # it fits sampled states (lambda <= 12, |z| <= 3000); doubling from k_lo runs log2(k*) blocks
+    log_k_star = (2.0 * math.log(abs(z)) - (lam - 2) * math.log(lam)) / lam
+    k_star = math.exp(min(log_k_star, math.log(_K_RISE)))
+    k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
+    while True:
+        log_mag, log_acc = _log_terms(params, mu, abs(z), k_top)
+        small = np.flatnonzero(log_mag[k_lo + 1:k_top] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_top - 1])
+        if small.size or log_acc[-1] > _LOG_MAX:
+            break
+        k_top *= 2
+    # with no stop the block's whole sum has overflowed: the test below names it
+    k_last = k_lo + int(small[0]) if small.size else k_top - 2
 
     log_norm = float(log_acc[k_last + 2])
     if log_norm > _LOG_MAX:
@@ -141,19 +126,25 @@ def build_cs(params: AlgebraParams, mu: int, z: complex, n_max: int = None) -> C
             "overflows double precision"
         )
     # bound the dropped squared weight by a geometric tail on |d_k|^2
+    # r < 1: as F(n + lambda) = F(n) + lambda, term ratios fall with k, and the stop term is past the peak
     r = math.exp(log_mag[k_last + 2] - log_mag[k_last + 1])
-    if r >= 1.0:
-        raise TruncationError(
-            f"coefficient magnitudes still growing past n_max = {nm} at |z| = {abs(z):.6g}"
-        )
     norm_factor = math.exp(log_norm)
     tail_bound = math.exp(2.0 * log_mag[k_last + 1] - math.log1p(-r * r) - log_norm)
 
     phases = np.full(k_last + 1, z / abs(z))
     phases[0] = 1.0
-    coeffs = np.zeros(nm + 1, dtype=complex)
+    coeffs = np.zeros(k_last * lam + mu + 1, dtype=complex)
     coeffs[mu::lam] = np.exp(log_mag[:k_last + 1] - 0.5 * log_norm) * np.cumprod(phases)
     return CoherentState(params, mu, z, coeffs, norm_factor, tail_bound)
+
+
+def stack_coeffs(states) -> np.ndarray:
+    """The states' coefficient vectors as the rows of one array, each
+    zero-padded to the longest: states of different truncations on one basis."""
+    out = np.zeros((len(states), max(cs.coeffs.size for cs in states)), dtype=complex)
+    for row, cs in zip(out, states):
+        row[:cs.coeffs.size] = cs.coeffs
+    return out
 
 
 def eigen_residual(cs: CoherentState) -> float:

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams
+from .algebra import AlgebraParams, _check_mu
 from .specfun import bessel_k, pochhammer
-from .coherent import build_cs
+from .coherent import build_cs, stack_coeffs
 
 __all__ = [
     "MomentTarget",
@@ -49,8 +49,7 @@ class MomentTarget:
 def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     """k-th moment the sector-mu weight must reproduce:
     D_k^2 / (pi lambda^{lambda-2}); equals 1/(pi lambda^{lambda-2}) at k = 0."""
-    if not 0 <= mu < params.lam:
-        raise ValueError(f"mu must be in 0..{params.lam - 1}, got {mu}")
+    mu = _check_mu(params.lam, mu)
     if k < 0:
         raise ValueError("k must be nonnegative")
     bb = params.beta_bar
@@ -90,7 +89,7 @@ def weight_photon(lam: int, mu: int, y: float) -> float:
 
     The y -> 0 singularity is integrable; the u = y^{1/lambda} substitution
     used by moment_check removes it exactly."""
-    if int(lam) != lam or lam < 2:
+    if not 2 <= lam < math.inf or int(lam) != lam:
         raise ValueError(f"lambda must be an integer >= 2, got {lam}")
     lam = int(lam)
     if not 0 <= mu < lam:
@@ -193,13 +192,12 @@ def angular_offdiagonal(params: AlgebraParams, mu: int, r: float) -> float:
 
     The k-th coefficient carries phase k*phi, so every off-diagonal element
     averages to zero; this spot-checks the angular part of the unity integral.
+    The phased states are built, not derived from one, so the check tests
+    build_cs's phase convention; the average is one product of their
+    zero-padded stack.
     """
-    ref = build_cs(params, mu, complex(r))
-    acc = np.zeros((ref.n_max + 1, ref.n_max + 1), dtype=complex)
-    for j in range(_N_PHI):
-        phi = 2.0 * math.pi * j / _N_PHI
-        v = build_cs(params, mu, r * complex(math.cos(phi), math.sin(phi)), n_max=ref.n_max).coeffs
-        acc += np.outer(v, v.conj())
-    acc /= _N_PHI
+    angles = (2.0 * math.pi * j / _N_PHI for j in range(_N_PHI))
+    v = stack_coeffs([build_cs(params, mu, r * complex(math.cos(phi), math.sin(phi))) for phi in angles])
+    acc = v.T @ v.conj() / _N_PHI
     np.fill_diagonal(acc, 0.0)
     return float(np.max(np.abs(acc)))

@@ -23,8 +23,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraParams, FockRep, build_fock_rep
-from .coherent import CoherentState, build_cs
+from .algebra import AlgebraParams, FockRep, _check_mu, build_fock_rep
+from .coherent import CoherentState, build_cs, stack_coeffs
 
 __all__ = [
     "QuadratureMoments",
@@ -126,10 +126,11 @@ def _ratios(m: np.ndarray) -> Tuple[float, float, float, float]:
 
 
 def _with_vacuum(cs: CoherentState):
-    """The state's FockRep and its coefficients stacked over those of the
-    z = 0 state of its sector, at the same truncation."""
-    ref = build_cs(cs.params, cs.mu, 0.0, n_max=cs.n_max)
-    return build_fock_rep(cs.params, cs.n_max), np.array([cs.coeffs, ref.coeffs])
+    """The state's coefficients stacked over those of the z = 0 state of its
+    sector, and the FockRep of the stack.  The z = 0 state is the shortest of
+    its sector, so the stack keeps the state's truncation."""
+    stack = stack_coeffs([cs, build_cs(cs.params, cs.mu, 0.0)])
+    return build_fock_rep(cs.params, stack.shape[1] - 1), stack
 
 
 def quadrature_stats(cs: CoherentState, kind: str = "dressed") -> QuadratureMoments:
@@ -144,8 +145,7 @@ def uncertainty_rhs(params: AlgebraParams, mu: int) -> float:
     """Sector lower bound on var_x * var_p for dressed quadratures:
     (lambda^2/4) (beta_bar_{mu+1} - beta_bar_mu)^2, which simplifies to
     (1 + alpha_mu)^2 / 4.  Falls below the canonical 1/4 when alpha_mu < 0."""
-    if not 0 <= mu < params.lam:
-        raise ValueError(f"mu must be in 0..{params.lam - 1}, got {mu}")
+    mu = _check_mu(params.lam, mu)
     bb = params.beta_bar
     return (params.lam ** 2 / 4.0) * (bb[mu + 1] - bb[mu]) ** 2
 

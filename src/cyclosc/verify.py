@@ -29,7 +29,7 @@ import numpy as np
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import build_sga, extraction_n_max, extract_polynomials, closed_forms
-from .coherent import build_cs, eigen_residual, mittag_leffler_check
+from .coherent import build_cs, eigen_residual, mittag_leffler_check, stack_coeffs
 from .stats import QuadratureMoments, _number_moments, quadrature_stats, uncertainty_rhs
 from .measure import (
     moment_target,
@@ -368,13 +368,11 @@ def suite_cs(seed: int = 12345):
                     add(_check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
 
         # per-parameter (z-independent) checks
-        cs0 = build_cs(params, 0, 0.8 + 0.3j)
-        cs1 = build_cs(params, 1, 0.8 + 0.3j, n_max=cs0.n_max)
-        add(_check("cs-sector-orthogonality", tag, abs(complex(np.vdot(cs0.coeffs, cs1.coeffs))), 0.0))
+        cs0, cs1 = stack_coeffs([build_cs(params, 0, 0.8 + 0.3j), build_cs(params, 1, 0.8 + 0.3j)])
+        add(_check("cs-sector-orthogonality", tag, abs(complex(np.vdot(cs0, cs1))), 0.0))
 
-        base = build_cs(params, 0, 1.1 - 0.6j)
-        near = build_cs(params, 0, 1.1 - 0.6j + 1e-6, n_max=base.n_max)
-        add(_check("cs-label-continuity", tag, np.linalg.norm(near.coeffs - base.coeffs), 1e-4))
+        base, near = stack_coeffs([build_cs(params, 0, 1.1 - 0.6j), build_cs(params, 0, 1.1 - 0.6j + 1e-6)])
+        add(_check("cs-label-continuity", tag, np.linalg.norm(near - base), 1e-4))
 
         mu = 0 if builtin else int(rng.integers(0, lam))
         m0 = quadrature_stats(build_cs(params, mu, 0.0), "dressed")

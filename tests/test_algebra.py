@@ -8,6 +8,9 @@ from cyclosc.algebra import (
     build_fock_rep,
     random_admissible_alpha,
 )
+from cyclosc.coherent import build_cs
+from cyclosc.measure import moment_target, weight_photon
+from cyclosc.stats import uncertainty_rhs
 from cyclosc.verify import dense_operators
 
 
@@ -47,6 +50,29 @@ def test_validate_rejects_non_integral_lambda():
     with pytest.raises(ValueError, match="integer"):
         validate_params(2.9, [0.5, -0.5])
     assert validate_params(2.0, [0.5, -0.5]).lam == 2
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda p: build_cs(p, 1.5, 0.5), r"mu must be in 0\.\.1, got 1\.5", id="build_cs-mu-1.5"),
+    pytest.param(lambda p: build_cs(p, _NAN, 0.5), r"mu must be in 0\.\.1, got nan", id="build_cs-mu-nan"),
+    pytest.param(lambda p: uncertainty_rhs(p, 0.5), r"mu must be in 0\.\.1", id="uncertainty_rhs-mu-0.5"),
+    pytest.param(lambda p: moment_target(p, 0.5, 2), r"mu must be in 0\.\.1", id="moment_target-mu-0.5"),
+    pytest.param(lambda p: validate_params(_INF, [0.0, 0.0]), "integer >= 2, got inf", id="validate_params-inf"),
+    pytest.param(lambda p: validate_params(_NAN, [0.0, 0.0]), "integer >= 2, got nan", id="validate_params-nan"),
+    pytest.param(lambda p: weight_photon(_INF, 0, 1.0), "integer >= 2, got inf", id="weight_photon-inf"),
+])
+def test_nonintegral_labels_are_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(validate_params(2, [0.5, -0.5]))
+
+
+def test_integral_float_label_is_a_sector():
+    p = validate_params(3, [0.0] * 3)
+    cs = build_cs(p, 2.0, 0.5)
+    assert cs.mu == 2 and np.array_equal(cs.coeffs, build_cs(p, 2, 0.5).coeffs)
 
 
 @pytest.mark.parametrize("alpha", [

@@ -15,6 +15,7 @@ from cyclosc.coherent import (
     TruncationError,
     build_cs,
     eigen_residual,
+    stack_coeffs,
     mittag_leffler_check,
 )
 from cyclosc.specfun import pochhammer
@@ -160,51 +161,69 @@ def test_phase_convention():
         assert abs(cmath.exp(1j * drift) - 1.0) < 1e-12
 
 
-def test_truncation_error_paths():
-    p = validate_params(2, [0.0, 0.0])
-    with pytest.raises(TruncationError):
-        build_cs(p, 0, 3.0, n_max=10)
-
-
 @pytest.mark.parametrize("z", [complex("nan"), complex(float("inf"), 0.0), complex(1.0, float("-inf"))])
 def test_nonfinite_label_is_bad_input(z):
     p = validate_params(2, [0.5, -0.5])
-    with pytest.raises(ValueError, match="finite"):
-        build_cs(p, 0, z)
-    with pytest.raises(ValueError, match="finite"):
-        build_cs(p, 1, z, n_max=20)
-
-
-def test_explicit_n_max_reproduces_adaptive():
-    p = validate_params(3, [0.2, 0.3, -0.5])
-    cs = build_cs(p, 1, 0.9 - 0.4j)
-    again = build_cs(p, 1, 0.9 - 0.4j, n_max=cs.n_max)
-    assert np.array_equal(cs.coeffs, again.coeffs)
+    for mu in (0, 1):
+        with pytest.raises(ValueError, match="finite"):
+            build_cs(p, mu, z)
 
 
 def test_sector_orthogonality():
     p = validate_params(3, [0.0] * 3)
-    a = build_cs(p, 0, 1 + 1j)
-    b = build_cs(p, 1, 1 + 1j)
-    n = max(a.n_max, b.n_max) + 1
-    va = np.zeros(n, dtype=complex)
-    vb = np.zeros(n, dtype=complex)
-    va[: a.n_max + 1] = a.coeffs
-    vb[: b.n_max + 1] = b.coeffs
+    va, vb = stack_coeffs([build_cs(p, 0, 1 + 1j), build_cs(p, 1, 1 + 1j)])
     assert abs(np.vdot(va, vb)) == 0.0
 
 
 def test_continuity_in_label():
     p = validate_params(4, [0.3, -0.1, 0.2, -0.4])
-    base = build_cs(p, 1, 0.9 + 0.2j)
-    near = build_cs(p, 1, 0.9 + 0.2j + 1e-6, n_max=base.n_max)
-    assert np.linalg.norm(near.coeffs - base.coeffs) < 1e-4
+    base, near = stack_coeffs([build_cs(p, 1, 0.9 + 0.2j), build_cs(p, 1, 0.9 + 0.2j + 1e-6)])
+    assert np.linalg.norm(near - base) < 1e-4
+
+
+def test_stack_coeffs_pads_with_exact_zeros():
+    p = validate_params(3, [-0.5, 0.25, 0.25])
+    states = [build_cs(p, mu, z) for mu, z in ((0, 0.0), (2, 4.0 - 1.0j), (1, 0.3j), (2, 0.0))]
+    stack = stack_coeffs(states)
+    sizes = [cs.coeffs.size for cs in states]
+    assert len(set(sizes)) > 1
+    assert stack.shape == (4, max(sizes))
+    for row, cs in zip(stack, states):
+        assert np.array_equal(row[:cs.coeffs.size], cs.coeffs)
+        assert np.all(row[cs.coeffs.size:] == 0.0)
+
+
+_GRID_RADII = (1e-300, 1e-8, 0.5, 4.0, 90.0, 355.0)
+
+
+def _grid_states():
+    """(z = 0 state, state) over lambda = 2..6 and 12, alpha = 0 and one
+    random draw, every sector, and |z| from 1e-300 to just inside the
+    lambda = 2 N_mu boundary."""
+    rng = np.random.default_rng(31)
+    for lam in (2, 3, 4, 5, 6, 12):
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            for mu in range(lam):
+                vac = build_cs(p, mu, 0.0)
+                for r in _GRID_RADII:
+                    yield vac, build_cs(p, mu, cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+
+
+def test_vacuum_is_shortest_of_its_sector():
+    # squeeze_ratios stacks a state over its sector's z = 0 state at the state's truncation
+    for vac, cs in _grid_states():
+        assert vac.n_max <= cs.n_max, (cs.params.lam, cs.mu, abs(cs.z))
 
 
 def test_tail_bound_reported():
     p = validate_params(2, [0.5, -0.5])
     cs = build_cs(p, 0, 2.0)
     assert 0.0 <= cs.tail_bound < 1e-20
+    # one stop rule: the dropped terms always fall geometrically
+    for _, cs in _grid_states():
+        assert math.isfinite(cs.tail_bound)
+        assert 0.0 <= cs.tail_bound < 1e-30, (cs.params.lam, cs.mu, abs(cs.z))
 
 
 def _lgamma_log_magnitudes(p, mu, abs_z, k_max):
@@ -351,9 +370,8 @@ def test_infinite_modulus_is_bad_input(lam, capsys):
     # finite parts whose modulus overflows: |z| = inf has no log-space terms
     p = validate_params(lam, [0.0] * lam)
     z = complex(1.5e308, 1.5e308)
-    for n_max in (None, 4 * lam):
-        with pytest.raises(ValueError, match=r"\|z\| must be finite"):
-            build_cs(p, 0, z, n_max=n_max)
+    with pytest.raises(ValueError, match=r"\|z\| must be finite"):
+        build_cs(p, 0, z)
     code = main(["sweep", "--lambda", str(lam), "--quantity", "X",
                  "--z-from", "1.5e308+1.5e308j", "--z-to", "0", "--steps", "2"])
     err = capsys.readouterr().err.splitlines()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cyclosc.algebra import build_fock_rep, validate_params, random_admissible_alpha
-from cyclosc.coherent import build_cs
+from cyclosc.coherent import build_cs, stack_coeffs
 from cyclosc.stats import (
     _moments,
     mandel_q,
@@ -170,9 +170,8 @@ def test_stacked_moments_equal_rows_bitwise():
     for lam in (2, 3, 5):
         p = validate_params(lam, random_admissible_alpha(lam, rng))
         mu = int(rng.integers(0, lam))
-        states = [build_cs(p, mu, complex(*rng.uniform(-3, 3, 2)), n_max=80) for _ in range(4)]
-        stack = np.stack([cs.coeffs for cs in states])
-        fock = build_fock_rep(p, 80)
+        stack = stack_coeffs([build_cs(p, mu, complex(*rng.uniform(-3, 3, 2))) for _ in range(4)])
+        fock = build_fock_rep(p, stack.shape[1] - 1)
         for kind in ("dressed", "real"):
             rows = np.stack([_moments(v, fock, kind) for v in stack])
             assert rows.shape == (4, 3, 2)
@@ -248,10 +247,10 @@ def test_dual_route_agreement():
             radii = (0.3, 1.7, 3.5) + ((12.0, 40.0, 90.0) if lam == 2 else ())
             for mu, r in itertools.product(range(lam), radii):
                 cs = build_cs(p, mu, r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-                ref = build_cs(p, mu, 0.0, n_max=cs.n_max)
-                dense = dense_operators(p, cs.n_max)
+                stack = stack_coeffs([cs, build_cs(p, mu, 0.0)])
+                dense = dense_operators(p, stack.shape[1] - 1)
                 for kind in ("dressed", "real"):
-                    s, s0 = (dense_quadrature_moments(dense, v, kind) for v in (cs.coeffs, ref.coeffs))
+                    s, s0 = (dense_quadrature_moments(dense, v, kind) for v in stack)
                     want = [getattr(s, f) / getattr(s0, f) for f in fields]
                     for got, w in zip(squeeze_ratios(cs, kind), want):
                         assert abs(got - w) <= 1e-12 * abs(w), (lam, mu, r, kind)
