@@ -27,7 +27,7 @@ from .verify import run_suites, SUITES
 
 __all__ = ["SweepSpec", "main", "run"]
 
-_RATIO_INDEX = {"X": 0, "P": 1, "Y": 2, "Q4": 3, "x4-ratio": 2, "p4-ratio": 3}
+_RATIO_INDEX = {"X": 0, "P": 1, "Y": 2, "Q4": 3}
 _QUANTITIES = ("mandel-q", "var-x", "var-p") + tuple(_RATIO_INDEX)
 
 

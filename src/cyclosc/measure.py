@@ -6,8 +6,9 @@ every off-diagonal term) to a Stieltjes moment problem for the radial weight:
 
     ∫_0^∞ h_mu(y) y^k dy = D_k^2 / (pi lambda^{lambda-2}),
 
-where D_k^2 = k! prod_{nu<=mu}(bb_nu+1)_k prod_{nu'>mu}(bb_nu')_k is the
-squared coefficient denominator of the state expansion.  Closed-form weights
+where D_k^2 = prod_{mu < j <= k lambda + mu} F(j)/lambda is the squared
+coefficient denominator of the states themselves: the same sector-ladder
+product whose logarithms build_cs sums.  Closed-form weights
 exist for lambda = 2 (a Bessel-K density, any admissible alpha) and for
 alpha = 0 at any lambda (a stretched-exponential photon density); both are
 verified here by adaptive quadrature against the targets above.
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, _check_mu
-from .specfun import bessel_k, pochhammer
+from .algebra import AlgebraParams, _check_mu, structure_function
+from .specfun import bessel_k
 from .coherent import build_cs, stack_coeffs
 
 __all__ = [
@@ -34,7 +35,7 @@ __all__ = [
     "angular_offdiagonal",
 ]
 
-_UNITY_QUAD_TOL = 1e-9  # moment_check tolerance behind each unity_reconstruction entry
+_QUAD_TOL = 1e-10  # moment_check's relative tolerance, shared by its tail cut and quad
 _N_PHI = 64  # phases in angular_offdiagonal's average
 
 
@@ -48,17 +49,14 @@ class MomentTarget:
 
 def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     """k-th moment the sector-mu weight must reproduce:
-    D_k^2 / (pi lambda^{lambda-2}); equals 1/(pi lambda^{lambda-2}) at k = 0."""
-    mu = _check_mu(params.lam, mu)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    bb = params.beta_bar
-    d2 = float(math.factorial(k))
-    for nu in range(1, mu + 1):
-        d2 *= pochhammer(bb[nu] + 1.0, k)
-    for nup in range(mu + 1, params.lam):
-        d2 *= pochhammer(float(bb[nup]), k)
-    return MomentTarget(mu, k, d2 / (math.pi * params.lam ** (params.lam - 2)), params.lam)
+    D_k^2 / (pi lambda^{lambda-2}) with D_k^2 = prod_{mu < j <= k lambda + mu} F(j)/lambda;
+    equals 1/(pi lambda^{lambda-2}) at k = 0."""
+    lam = params.lam
+    mu = _check_mu(lam, mu)
+    if not 0 <= k < math.inf or int(k) != k:
+        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    d2 = np.prod(structure_function(params, np.arange(mu + 1, int(k) * lam + mu + 1)) / lam)
+    return MomentTarget(mu, int(k), float(d2) / (math.pi * lam ** (lam - 2)), lam)
 
 
 def weight_lambda2(params: AlgebraParams, mu: int, y: float) -> float:
@@ -92,7 +90,7 @@ def weight_photon(lam: int, mu: int, y: float) -> float:
     if not 2 <= lam < math.inf or int(lam) != lam:
         raise ValueError(f"lambda must be an integer >= 2, got {lam}")
     lam = int(lam)
-    if not 0 <= mu < lam:
+    if not 0 <= mu < lam or int(mu) != mu:
         raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
     if y <= 0:
         raise ValueError("y must be positive")
@@ -104,12 +102,13 @@ def weight_photon(lam: int, mu: int, y: float) -> float:
     )
 
 
-def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float = 1e-10):
-    """Adaptive quadrature of ∫_0^∞ weight(y) y^k dy against target.target.
+def moment_check(weight, mu: int, k: int, target: MomentTarget):
+    """Adaptive quadrature of ∫_0^∞ weight(y) y^k dy against target.target,
+    at one relative tolerance, _QUAD_TOL = 1e-10.
 
     Substitutes u = y^{1/lambda} first (removing the endpoint singularity of
     the photon weight), cuts the upper range where an exponential-decay tail
-    estimate drops below quad_tol * target, and returns (value, rel_error).
+    estimate drops below _QUAD_TOL * target, and returns (value, rel_error).
     (mu, k) must be the target's.  Raises if the cut search or the quadrature
     fails to converge.
     scipy.integrate is imported here, on first use, not with the package.
@@ -126,7 +125,7 @@ def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float 
     def g(u: float) -> float:
         return weight(u ** lam) * u ** (lam * k) * lam * u ** (lam - 1)
 
-    budget = quad_tol * target.target
+    budget = _QUAD_TOL * target.target
     u_cut = max(8.0, 2.0 * (k + 3))
     for _ in range(200):
         g1 = g(u_cut)
@@ -148,7 +147,7 @@ def moment_check(weight, mu: int, k: int, target: MomentTarget, quad_tol: float 
         0.0,
         u_cut,
         epsabs=0.05 * budget,
-        epsrel=0.1 * quad_tol,
+        epsrel=0.1 * _QUAD_TOL,
         limit=400,
         full_output=1,
     )
@@ -177,11 +176,13 @@ def unity_reconstruction(params: AlgebraParams, weight: str, k_top: int) -> np.n
         h = lambda mu: (lambda y: weight_photon(lam, mu, y))
     else:
         raise ValueError(f"unknown weight {weight!r}")
-    entries = np.zeros(k_top * lam + 1)
+    if not 0 <= k_top < math.inf or int(k_top) != k_top:
+        raise ValueError(f"k_top must be a nonnegative integer, got {k_top}")
+    entries = np.zeros(int(k_top) * lam + 1)
     for n in range(entries.size):
         k, mu = divmod(n, lam)
         tgt = moment_target(params, mu, k)
-        value, _ = moment_check(h(mu), mu, k, tgt, quad_tol=_UNITY_QUAD_TOL)
+        value, _ = moment_check(h(mu), mu, k, tgt)
         entries[n] = value / tgt.target
     return entries
 

@@ -1,11 +1,10 @@
 """Scalar special functions used by the coherent-state and measure formulas.
 
-Rising factorials (the moment targets of the radial measures), generalized
-Mittag-Leffler functions (the alpha = 0 coherent-state reference), and the
-modified Bessel function K_nu (a guarded wrapper around scipy.special,
-imported lazily).  The coherent-state norms themselves are 0F_{lambda-1}
-series, which build_cs accumulates in log space; verify sums the same series
-term by term as its reference.
+Generalized Mittag-Leffler functions (the alpha = 0 coherent-state
+reference) and the modified Bessel function K_nu (a guarded wrapper around
+scipy.special, imported lazily).  The coherent-state norms themselves are
+0F_{lambda-1} series, which build_cs accumulates in log space; verify sums
+the same series term by term as its reference.
 """
 
 from __future__ import annotations
@@ -13,23 +12,12 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "pochhammer",
     "mittag_leffler",
     "bessel_k",
 ]
 
 _MAX_TERMS = 100_000
 _ML_TOL = 1e-13  # mittag_leffler stops once its tail bound is below this share of the sum
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1); equals 1 for k = 0."""
-    if k < 0:
-        raise ValueError("k must be a nonnegative integer")
-    out = 1.0
-    for j in range(k):
-        out *= a + j
-    return out
 
 
 def mittag_leffler(alpha: float, beta: float, x: float) -> float:

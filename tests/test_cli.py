@@ -52,6 +52,15 @@ def test_sweep_nonfinite_input_is_bad_input(capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+def test_sweep_ratio_aliases_are_bad_input(capsys):
+    # the squeezing ratios have one name each: X, P, Y, Q4
+    for name in ("x4-ratio", "p4-ratio"):
+        code, out, err = run(capsys, "sweep", "--lambda", "3", "--quantity", name,
+                             "--r-from", "0", "--r-to", "2", "--steps", "5")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+
 def test_alpha_auto_completion(capsys):
     code, out, err = run(capsys, "info", "--lambda", "3", "--alpha", "0.5,-0.25,auto")
     assert code == 0

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cyclosc.algebra import validate_params
+from cyclosc.algebra import random_admissible_alpha, validate_params
 from cyclosc.coherent import build_cs
 from cyclosc.measure import (
     moment_target,
@@ -25,12 +26,21 @@ def test_zeroth_moment_is_pure_area_factor():
 
 
 def test_target_tracks_coefficient_denominators():
-    p = validate_params(2, [0.5, -0.5])
-    # D_k^2 = k! (bb_1 + mu)_k up to the sector split; spot-check k = 3, mu = 1
-    t = moment_target(p, 1, 3)
-    bb1 = p.beta_bar[1]
-    want = math.factorial(3) * (bb1 + 1) * (bb1 + 2) * (bb1 + 3) / math.pi
-    assert math.isclose(t.target, want, rel_tol=1e-14)
+    # D_k^2 = k! prod_{nu <= mu} (bb_nu + 1)_k prod_{nu' > mu} (bb_nu')_k, the
+    # hypergeometric form of prod F(j)/lambda, in 40-digit rising factorials
+    rng = np.random.default_rng(11)
+    with mpmath.workdps(40):
+        for lam in range(2, 9):
+            for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng), random_admissible_alpha(lam, rng)):
+                p = validate_params(lam, alpha)
+                bb = [mpmath.mpf(float(b)) for b in p.beta_bar]
+                for mu in range(lam):
+                    for k in range(13):
+                        d2 = mpmath.factorial(k) * mpmath.fprod(
+                            mpmath.rf(bb[nu] + (nu <= mu), k) for nu in range(1, lam))
+                        want = d2 / (mpmath.pi * lam ** (lam - 2))
+                        got = moment_target(p, mu, k).target
+                        assert abs(got - want) <= 1e-14 * want, (lam, p.alpha, mu, k)
 
 
 def test_lambda2_weight_reproduces_moments():
@@ -152,6 +162,20 @@ def test_domain_errors():
         moment_check(lambda y: weight_photon(2, 0, y), 0, 13, moment_target(p2, 0, 13))
     with pytest.raises(ValueError, match="integer"):
         weight_photon(2.5, 0, 1.0)
+
+
+def test_photon_weight_rejects_nonintegral_sector():
+    with pytest.raises(ValueError, match="mu must be in 0..1, got 0.5"):
+        weight_photon(2, 0.5, 1.0)
+    assert weight_photon(2, 1.0, 0.7) == weight_photon(2, 1, 0.7)
+
+
+def test_nonintegral_moment_order_is_bad_input():
+    p = validate_params(2, [0.5, -0.5])
+    with pytest.raises(ValueError, match="^k must be a nonnegative integer, got 2.5"):
+        moment_target(p, 0, 2.5)
+    with pytest.raises(ValueError, match="^k_top must be a nonnegative integer, got 1.5"):
+        unity_reconstruction(p, "lambda2", 1.5)
 
 
 def test_moment_check_rejects_a_target_of_another_moment():

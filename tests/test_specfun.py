@@ -9,16 +9,9 @@ from scipy import special
 
 import cyclosc
 from cyclosc.specfun import (
-    pochhammer,
     mittag_leffler,
     bessel_k,
 )
-
-
-def test_pochhammer_basics():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
-    assert pochhammer(0.5, 2) == 0.75
 
 
 def test_bessel_k_against_mpmath():
