@@ -1,4 +1,4 @@
-"""Scalar special functions used by the coherent-state and measure formulas.
+"""Special functions used by the coherent-state and measure formulas.
 
 Generalized Mittag-Leffler functions (the alpha = 0 coherent-state
 reference) and the modified Bessel function K_nu (a guarded wrapper around
@@ -10,6 +10,8 @@ the same series term by term as its reference.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "mittag_leffler",
@@ -53,9 +55,10 @@ def mittag_leffler(alpha: float, beta: float, x: float) -> float:
             raise RuntimeError("mittag_leffler series did not converge")
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function K_nu(x) for x > 0, from scipy's exponentially
-    scaled kve (Amos's algorithm, ACM TOMS 644): K_nu(x) = kve(nu, x) e^{-x}.
+def bessel_k(nu: float, x):
+    """Modified Bessel function K_nu(x) for x > 0, a float or an array, from
+    scipy's exponentially scaled kve (Amos's algorithm, ACM TOMS 644):
+    K_nu(x) = kve(nu, x) e^{-x}, elementwise.
 
     Unscaled kv flushes to 0.0 from about x = 700, although K_nu(x) stays a
     normal double up to x = 705; the scaled route keeps full precision there
@@ -64,8 +67,8 @@ def bessel_k(nu: float, x: float) -> float:
     scipy.special is imported on first call, so importing cyclosc does not
     load it.
     """
-    if not x > 0:
+    if not np.all(x > 0):
         raise ValueError("x must be positive")
     from scipy.special import kve
 
-    return float(kve(nu, x)) * math.exp(-x)
+    return kve(nu, x) * np.exp(-x)

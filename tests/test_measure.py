@@ -1,10 +1,15 @@
 import math
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cyclosc
 from cyclosc.algebra import random_admissible_alpha, validate_params
 from cyclosc.coherent import build_cs
 from cyclosc.measure import (
@@ -25,22 +30,84 @@ def test_zeroth_moment_is_pure_area_factor():
             assert t.target == 1.0 / (math.pi * lam ** (lam - 2))
 
 
-def test_target_tracks_coefficient_denominators():
-    # D_k^2 = k! prod_{nu <= mu} (bb_nu + 1)_k prod_{nu' > mu} (bb_nu')_k, the
-    # hypergeometric form of prod F(j)/lambda, in 40-digit rising factorials
-    rng = np.random.default_rng(11)
+def _mp_target(p, mu, k):
+    """D_k^2 / (pi lambda^{lambda-2}) with D_k^2 = k! prod_{nu <= mu} (bb_nu + 1)_k
+    prod_{nu' > mu} (bb_nu')_k, the hypergeometric form of prod F(j)/lambda, in
+    40-digit rising factorials."""
     with mpmath.workdps(40):
-        for lam in range(2, 9):
-            for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng), random_admissible_alpha(lam, rng)):
-                p = validate_params(lam, alpha)
-                bb = [mpmath.mpf(float(b)) for b in p.beta_bar]
-                for mu in range(lam):
-                    for k in range(13):
-                        d2 = mpmath.factorial(k) * mpmath.fprod(
-                            mpmath.rf(bb[nu] + (nu <= mu), k) for nu in range(1, lam))
-                        want = d2 / (mpmath.pi * lam ** (lam - 2))
-                        got = moment_target(p, mu, k).target
-                        assert abs(got - want) <= 1e-14 * want, (lam, p.alpha, mu, k)
+        bb = [mpmath.mpf(float(b)) for b in p.beta_bar]
+        d2 = mpmath.factorial(k) * mpmath.fprod(mpmath.rf(bb[nu] + (nu <= mu), k) for nu in range(1, p.lam))
+        return float(d2 / (mpmath.pi * p.lam ** (p.lam - 2)))
+
+
+def test_target_tracks_coefficient_denominators():
+    rng = np.random.default_rng(11)
+    for lam in range(2, 9):
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng), random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            for mu in range(lam):
+                for k in range(13):
+                    want = _mp_target(p, mu, k)
+                    got = moment_target(p, mu, k).target
+                    assert abs(got - want) <= 1e-14 * want, (lam, p.alpha, mu, k)
+
+
+def test_moment_rule_against_mpmath_targets():
+    # The Bessel weight from the admissibility edge, where most of the
+    # alpha0 = -0.999, mu = 0 mass lies below the first node (y = 1e-300),
+    # to alpha0 = 5, where K_a overflows near y = 0; the photon weight up to
+    # lambda = 16, where y^{k+1} overflows on the top nodes.
+    for a0 in (-0.999, -0.99, -0.95, -0.5, 0.0, 1.0, 2.99, 5.0):
+        p = validate_params(2, [a0, -a0])
+        for mu in (0, 1):
+            for k in range(13):
+                value, _ = moment_check(partial(weight_lambda2, p, mu), mu, k, moment_target(p, mu, k))
+                assert abs(value / _mp_target(p, mu, k) - 1.0) < 1e-12, (a0, mu, k)
+    for lam in range(2, 17):
+        p = validate_params(lam, [0.0] * lam)
+        for mu in range(lam):
+            for k in range(13):
+                value, _ = moment_check(partial(weight_photon, lam, mu), mu, k, moment_target(p, mu, k))
+                assert abs(value / _mp_target(p, mu, k) - 1.0) < 1e-12, (lam, mu, k)
+
+
+def test_moment_rule_matches_adaptive_quadrature():
+    # scipy's adaptive quad of the same integrand in u = y^{1/lambda} is the
+    # reference route; the weight is called one point at a time
+    p2 = validate_params(2, [-0.5, 0.5])
+    cases = [(partial(weight_lambda2, p2, mu), p2, mu, k) for mu in (0, 1) for k in (0, 6, 12)]
+    p3 = validate_params(3, [0.0] * 3)
+    cases += [(partial(weight_photon, 3, mu), p3, mu, k) for mu in (0, 2) for k in (0, 12)]
+    for weight, p, mu, k in cases:
+        lam = p.lam
+        ref = quad(lambda u: lam * u ** (lam * (k + 1) - 1) * weight(u**lam), 0.0, 80.0,
+                   epsabs=0.0, epsrel=1e-12, limit=400)[0]
+        value, _ = moment_check(weight, mu, k, moment_target(p, mu, k))
+        assert abs(value / ref - 1.0) < 1e-10, (lam, mu, k)
+
+
+def test_nonfinite_or_non_decaying_weight_raises():
+    for lam, k in ((2, 0), (2, 12), (16, 12)):
+        tgt = moment_target(validate_params(lam, [0.0] * lam), 0, k)
+        with pytest.raises(RuntimeError, match="decay budget"):
+            moment_check(np.ones_like, 0, k, tgt)
+        with pytest.raises(RuntimeError, match="not finite"):
+            moment_check(lambda y: np.full_like(y, np.nan), 0, k, tgt)
+        with pytest.raises(RuntimeError, match="not finite"):
+            moment_check(lambda y: np.where(y > 1.0, np.nan, np.exp(-y)), 0, k, tgt)
+
+
+def test_moment_check_leaves_scipy_integrate_unloaded():
+    src = str(Path(cyclosc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from cyclosc import measure, validate_params; "
+        "p = validate_params(2, [0.5, -0.5]); "
+        "measure.moment_check(lambda y: measure.weight_lambda2(p, 0, y), 0, 3, measure.moment_target(p, 0, 3)); "
+        "measure.unity_reconstruction(p, 'lambda2', 2); print('scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_lambda2_weight_reproduces_moments():
@@ -80,6 +147,36 @@ def test_weight_forms_agree_when_undeformed():
             a = weight_lambda2(p, mu, y)
             b = weight_photon(2, mu, y)
             assert math.isclose(a, b, rel_tol=1e-10)
+
+
+def test_weights_take_arrays():
+    y = np.geomspace(1e-300, 1e4, 400)
+    for a0 in (-0.99, 0.5, 5.0):
+        p = validate_params(2, [a0, -a0])
+        for mu in (0, 1):
+            np.testing.assert_allclose(weight_lambda2(p, mu, y), [weight_lambda2(p, mu, v) for v in y],
+                                       rtol=1e-14, atol=0.0)
+    for lam in (2, 7, 16):
+        for mu in (0, lam - 1):
+            np.testing.assert_allclose(weight_photon(lam, mu, y), [weight_photon(lam, mu, v) for v in y],
+                                       rtol=1e-14, atol=0.0)
+
+
+def test_lambda2_weight_near_zero_where_bessel_overflows():
+    # alpha0 = 5, mu = 1: a = 3 and h -> Gamma(3) / (pi Gamma(4)) = 1/(3 pi) as y -> 0;
+    # K_3(2 sqrt y) overflows below y ~ 1e-205
+    p = validate_params(2, [5.0, -5.0])
+    for y in (1e-300, 1e-250, 1e-100):
+        assert math.isclose(weight_lambda2(p, 1, y), 1.0 / (3.0 * math.pi), rel_tol=1e-15), y
+
+
+def test_weights_reject_nonfinite_or_nonpositive_y():
+    p = validate_params(2, [0.5, -0.5])
+    for bad in (math.nan, math.inf, -1.0, 0.0, np.array([1.0, math.nan]), np.array([0.5, math.inf])):
+        with pytest.raises(ValueError, match="^y must be finite and positive$"):
+            weight_photon(2, 0, bad)
+        with pytest.raises(ValueError, match="^y must be finite and positive$"):
+            weight_lambda2(p, 0, bad)
 
 
 def test_photon_weight_frozen_value():

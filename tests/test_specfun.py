@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import special
 
@@ -21,6 +22,18 @@ def test_bessel_k_against_mpmath():
         for x in (1e-6, 1e-3, 0.2, 1.0, 5.0, 20.0, 100.0, 500.0, 700.0):
             ref = float(mpmath.besselk(nu, x))
             assert math.isclose(bessel_k(nu, x), ref, rel_tol=1e-13), (nu, x)
+
+
+def test_bessel_k_takes_arrays():
+    x = np.geomspace(1e-6, 750.0, 60)
+    for nu in (-0.99, 0.0, 2.5):
+        got = bessel_k(nu, x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got, [bessel_k(nu, v) for v in x])
+    with pytest.raises(ValueError):
+        bessel_k(0.5, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        bessel_k(0.5, np.array([1.0, float("nan")]))
 
 
 def test_bessel_k_underflows_to_zero():
