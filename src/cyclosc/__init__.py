@@ -12,7 +12,6 @@ resolve the identity over each sector.
 
 from .algebra import (
     AlgebraParams,
-    FockRep,
     validate_params,
     structure_function,
     energy,
@@ -32,7 +31,6 @@ from .coherent import (
     build_cs,
     stack_coeffs,
     eigen_residual,
-    mittag_leffler_check,
 )
 from .stats import (
     QuadratureMoments,

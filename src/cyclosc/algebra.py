@@ -5,8 +5,9 @@ P_mu projects onto the Fock levels n ≡ mu (mod lambda) and the deformation
 parameters alpha_mu sum to zero.  Everything is controlled by the structure
 function F(n) = n + beta_{n mod lambda} with beta_mu the partial sums of
 alpha; a|n> = sqrt(F(n)) |n-1>.  This module validates parameters and builds
-the ladder amplitudes sqrt(F(n)) and sqrt(n), which apply a, a† and their
-canonical counterparts to state vectors as vectorised shifts.
+the ladder amplitudes sqrt(F(n)) and sqrt(n) as the two rows of one array;
+stats applies a, a† and their canonical counterparts to state vectors with
+them, as one vectorised shift.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "AlgebraParams",
-    "FockRep",
     "validate_params",
     "structure_function",
     "energy",
@@ -42,40 +42,6 @@ class AlgebraParams:
     beta: np.ndarray
     beta_bar: np.ndarray
     gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class FockRep:
-    """Ladder amplitudes on the basis |0> ... |n_max>.
-
-    sqrt_f[n] = sqrt(F(n)) is the amplitude of a|n> = sqrt(F(n)) |n-1> for the
-    deformed pair; sqrt_n[n] = sqrt(n) is that of the canonical pair (b, b†)
-    sharing the same number operator.  "dressed" selects the first, "real"
-    the second.  Shifts act on the truncated space: raising |n_max> drops out.
-    """
-
-    sqrt_f: np.ndarray
-    sqrt_n: np.ndarray
-
-    def amplitudes(self, kind: str) -> np.ndarray:
-        """sqrt_f for kind='dressed', sqrt_n for kind='real'."""
-        if kind not in ("dressed", "real"):
-            raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
-        return self.sqrt_f if kind == "dressed" else self.sqrt_n
-
-    def lower(self, v, kind: str = "dressed") -> np.ndarray:
-        """a v (b v for kind='real'): (a v)[n-1] = amp[n] v[n]."""
-        shifted = self.amplitudes(kind)[1:] * v[1:]
-        out = np.zeros(shifted.size + 1, shifted.dtype)
-        out[:-1] = shifted
-        return out
-
-    def raise_(self, v, kind: str = "dressed") -> np.ndarray:
-        """a† v (b† v for kind='real'): (a† v)[n] = amp[n] v[n-1]."""
-        shifted = self.amplitudes(kind)[1:] * v[:-1]
-        out = np.zeros(shifted.size + 1, shifted.dtype)
-        out[1:] = shifted
-        return out
 
 
 def validate_params(lam: int, alpha) -> AlgebraParams:
@@ -134,12 +100,16 @@ def energy(params: AlgebraParams, n):
     return n + params.gamma[n % params.lam] + 0.5
 
 
-def build_fock_rep(params: AlgebraParams, n_max: int) -> FockRep:
-    """Ladder amplitudes on |0> ... |n_max> (n_max >= lambda)."""
+def build_fock_rep(params: AlgebraParams, n_max: int) -> np.ndarray:
+    """Ladder amplitudes on |0> ... |n_max> (n_max >= lambda), shape (2, n_max + 1).
+
+    Row 0 is sqrt(F(n)), the amplitude of a|n> = sqrt(F(n)) |n-1> for the
+    deformed ("dressed") pair; row 1 is sqrt(n), that of the canonical
+    ("real") pair (b, b†) sharing the same number operator."""
     if n_max < params.lam:
         raise ValueError(f"n_max must be at least lambda = {params.lam}, got {n_max}")
     n = np.arange(n_max + 1)
-    return FockRep(np.sqrt(structure_function(params, n)), np.sqrt(n.astype(float)))
+    return np.sqrt([structure_function(params, n), n])
 
 
 def random_admissible_alpha(lam: int, rng: np.random.Generator) -> np.ndarray:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import _LOG_MAX, AlgebraParams, _check_mu, build_fock_rep, structure_function
-from .specfun import mittag_leffler
 
 __all__ = [
     "TruncationError",
@@ -41,7 +40,6 @@ __all__ = [
     "build_cs",
     "stack_coeffs",
     "eigen_residual",
-    "mittag_leffler_check",
 ]
 
 
@@ -151,46 +149,11 @@ def eigen_residual(cs: CoherentState) -> float:
     """Relative eigenvalue defect ||J_- v - z v|| / max(|z|, 1), ignoring the
     top lambda Fock levels, whose J_- image lies beyond the truncation."""
     lam = cs.params.lam
-    fock = build_fock_rep(cs.params, cs.n_max)
-    w = cs.coeffs
-    for _ in range(lam):
-        w = fock.lower(w)
+    amp = build_fock_rep(cs.params, cs.n_max)[0, 1:]
+    w = cs.coeffs.copy()
+    for _ in range(lam):  # a w: level n - 1 takes sqrt(F(n)) w[n]
+        w[:-1] = amp * w[1:]
+        w[-1] = 0.0
     w = w / lam - cs.z * cs.coeffs
     w[cs.n_max - lam + 1:] = 0.0
     return float(np.linalg.norm(w) / max(abs(cs.z), 1.0))
-
-
-def mittag_leffler_check(cs: CoherentState) -> float:
-    """For the undeformed case (alpha = 0) rebuild the state as
-
-        sqrt(mu! / E_{lambda,mu+1}(lambda^2 |z|^2)) * E_{lambda,mu+1}(lambda^2 z J_+) |mu>,
-
-    applying J_+ term by term to |mu>, and return the maximum absolute
-    coefficient deviation from cs."""
-    params, mu, z = cs.params, cs.mu, cs.z
-    if not np.allclose(params.alpha, 0.0, atol=1e-14):
-        raise ValueError("the Mittag-Leffler form requires alpha = 0")
-    lam = params.lam
-    fock = build_fock_rep(params, cs.n_max)
-
-    total = np.zeros(cs.n_max + 1, dtype=complex)
-    term = np.zeros(cs.n_max + 1, dtype=complex)
-    term[mu] = 1.0 / math.gamma(mu + 1)
-    total += term
-    k = 0
-    while True:
-        k += 1
-        # T_k = lambda^2 z * (J_+ T_{k-1}) * Gamma(lam(k-1)+mu+1)/Gamma(lam k+mu+1)
-        ratio = math.exp(math.lgamma(lam * (k - 1) + mu + 1) - math.lgamma(lam * k + mu + 1))
-        for _ in range(lam):
-            term = fock.raise_(term)
-        term = (lam * z) * term * ratio
-        total += term
-        nrm = np.linalg.norm(term)
-        if nrm <= 1e-18 * np.linalg.norm(total) or nrm == 0.0:
-            break
-        if k * lam + mu > cs.n_max:
-            break
-    e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
-    rebuilt = total * math.sqrt(math.gamma(mu + 1) / e_val)
-    return float(np.max(np.abs(rebuilt - cs.coeffs)))

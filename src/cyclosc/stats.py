@@ -9,11 +9,13 @@ state's central moments to those of the z = 0 state of the same sector (the
 number state |mu>, which plays the role of the vacuum there).
 
 All quadrature moments come from one kernel, `_moments`, which takes a stack
-of coefficient vectors and applies x and p together as a two-row stencil on
-the ladder amplitudes; means, dispersions and fourth moments are `vecdot`
-reductions over the last axis.  A squeezing ratio is one pass over the stack
-[state, vacuum].  On vectors of ~50 levels numpy's per-call overhead, not the
-arithmetic, sets the cost, so the kernel makes few calls over many rows.
+of coefficient vectors and the amplitude rows of algebra.build_fock_rep, and
+applies x and p together with `_quadratures`, a two-row shift that `verify`
+checks against dense matrices; means, dispersions and fourth moments are
+`vecdot` reductions over the last axis.  A squeezing ratio is one pass over
+the stack [state, vacuum].  On vectors of ~50 levels numpy's per-call
+overhead, not the arithmetic, sets the cost, so the kernel makes few calls
+over many rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraParams, FockRep, _check_mu, build_fock_rep
+from .algebra import AlgebraParams, _check_mu, build_fock_rep
 from .coherent import CoherentState, build_cs, stack_coeffs
 
 __all__ = [
@@ -82,37 +84,55 @@ def mandel_q(cs: CoherentState) -> Optional[float]:
 
 # coefficients of a† in x and p; those of a are their conjugates
 _STENCIL = np.array([[1.0], [1j]]) * np.sqrt(0.5)
+_KINDS = ("dressed", "real")  # the rows of algebra.build_fock_rep's amplitude array
 
 
-def _moments(v: np.ndarray, fock: FockRep, kind: str) -> np.ndarray:
+def _stencil(ladder: np.ndarray, kind: str):
+    """(up, down): the a† coefficients of x (row 0) and p (row 1) on levels
+    1..n_max, _STENCIL times the `kind` row of the build_fock_rep array
+    (sqrt(F(n)) for 'dressed', sqrt(n) for 'real'), and those of a."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
+    up = _STENCIL * ladder[_KINDS.index(kind), 1:]
+    return up, up.conj()
+
+
+def _quadratures(u: np.ndarray, stencil) -> np.ndarray:
+    """x u on row 0 and p u on row 1, for vectors u of shape (..., 1 or 2,
+    levels) and (up, down) from _stencil: a† adds up[:, n-1] u[n-1] to level
+    n, a adds down[:, n] u[n+1].  The shift acts on the truncated space, so
+    raising |n_max> drops out."""
+    up, down = stencil
+    w = np.zeros(u.shape[:-2] + (2, u.shape[-1]), complex)
+    np.multiply(up, u[..., :-1], out=w[..., 1:])
+    w[..., :-1] += down * u[..., 1:]
+    return w
+
+
+def _moments(v: np.ndarray, ladder: np.ndarray, kind: str) -> np.ndarray:
     """Quadrature moments of every coefficient vector along v's last axis.
 
     Returns shape v.shape[:-1] + (3, 2): rows mean, dispersion and central
     fourth moment, columns x and p, so one vector's block flattens in
-    QuadratureMoments field order.  x and p act together as a two-row
-    stencil: a† enters with the coefficients (1, i)/sqrt(2) times the ladder
-    amplitudes, a with their conjugates.  Each row is reduced on its own, so
-    a stack gives bit for bit the results of its rows one at a time."""
-    up = _STENCIL * fock.amplitudes(kind)[1:]
-    down = up.conj()
-    shape = v.shape[:-1] + (2, v.shape[-1])
-
-    def apply(u):  # x on row 0, p on row 1
-        w = np.zeros(shape, complex)
-        np.multiply(up, u[..., :-1], out=w[..., 1:])
-        w[..., :-1] += down * u[..., 1:]
-        return w
-
+    QuadratureMoments field order.  Each row is reduced on its own, so a
+    stack gives bit for bit the results of its rows one at a time.  Fourth
+    moments scale as F(n)^2; one beyond the double range (alpha_0 > 2.68e154
+    at lambda = 2) raises RuntimeError rather than returning inf or nan."""
+    stencil = _stencil(ladder, kind)
     v = v[..., None, :]
     m = np.empty(v.shape[:-2] + (3, 2), complex)
-    w1 = apply(v)
-    np.vecdot(v, w1, out=m[..., 0, :])
-    mean = m[..., 0, :, None].real
-    w1 -= mean * v
-    w2 = apply(w1)
-    w2 -= mean * w1
-    np.vecdot(w1, w1, out=m[..., 1, :])
-    np.vecdot(w2, w2, out=m[..., 2, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        w1 = _quadratures(v, stencil)
+        np.vecdot(v, w1, out=m[..., 0, :])
+        mean = m[..., 0, :, None].real
+        w1 -= mean * v
+        w2 = _quadratures(w1, stencil)
+        w2 -= mean * w1
+        np.vecdot(w1, w1, out=m[..., 1, :])
+        np.vecdot(w2, w2, out=m[..., 2, :])
+    if not np.isfinite(m).all():
+        raise RuntimeError(f"{kind} quadrature moments overflow double precision "
+                           f"(max F(n) = {ladder[0].max() ** 2:.6g})")
     return m.real
 
 
@@ -127,8 +147,8 @@ def _ratios(m: np.ndarray) -> Tuple[float, float, float, float]:
 
 def _with_vacuum(cs: CoherentState):
     """The state's coefficients stacked over those of the z = 0 state of its
-    sector, and the FockRep of the stack.  The z = 0 state is the shortest of
-    its sector, so the stack keeps the state's truncation."""
+    sector, and the ladder amplitudes of the stack.  The z = 0 state is the
+    shortest of its sector, so the stack keeps the state's truncation."""
     stack = stack_coeffs([cs, build_cs(cs.params, cs.mu, 0.0)])
     return build_fock_rep(cs.params, stack.shape[1] - 1), stack
 
@@ -154,16 +174,16 @@ def squeeze_ratios(cs: CoherentState, kind: str = "dressed"):
     """(X, P, Y, Q4): the state's var_x, var_p, central_x4, central_p4 divided
     by the same moments of the z = 0 state of its sector.  A ratio below 1 is
     squeezing (second order for X/P, fourth order for Y/Q4)."""
-    fock, stack = _with_vacuum(cs)
-    return _ratios(_moments(stack, fock, kind))
+    ladder, stack = _with_vacuum(cs)
+    return _ratios(_moments(stack, ladder, kind))
 
 
 def stats_report(cs: CoherentState) -> StatsReport:
     """Bundle every diagnostic for one state: one [state, vacuum] moment
     pass per ladder pair."""
     mean_n, var_n = _number_moments(cs)
-    fock, stack = _with_vacuum(cs)
-    dressed, real = (_moments(stack, fock, kind) for kind in ("dressed", "real"))
+    ladder, stack = _with_vacuum(cs)
+    dressed, real = (_moments(stack, ladder, kind) for kind in _KINDS)
     return StatsReport(
         mean_n=mean_n,
         var_n=var_n,

@@ -2,7 +2,8 @@
 sets plus seeded random admissible draws, and the independent reference
 route they compare production results with: dense truncated operator
 matrices, their lambda-th powers and quadratic forms (production forms none),
-and the coherent-state norm summed term by term.
+the coherent-state norm summed term by term, and the alpha = 0 state rebuilt
+from its Mittag-Leffler form.
 
 Every check is a CheckResult: a measured deviation `value` against a fixed
 `bound`, passing when value <= bound, so a NaN deviation fails.  A check that
@@ -10,10 +11,12 @@ covers several deviations reduces them with np.max, which keeps a NaN.  The
 CLI turns the list into a report and an exit code; a failed check is the line
 `FAIL [suite] name: <tag> dev=<value> bound=<bound>`.
 
-A patched algebra.structure_function reaches dense_operators,
-algebra.build_fock_rep and suite_commutators, which look it up in the algebra
-namespace, but not sga or coherent, which bind it at import; so only the
-commutators suite checks a mutated production path against its reference.
+A patched algebra.structure_function reaches what looks it up in the algebra
+namespace: dense_operators, suite_commutators and algebra.build_fock_rep, so
+the moment kernel of stats and eigen_residual too; build_cs and sga bind it
+at import and do not see it.  Checks whose two routes both see the patch
+still agree; the commutators suite's comparisons with the unpatched alpha
+catch it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import numpy as np
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import build_sga, extraction_n_max, extract_polynomials, closed_forms
-from .coherent import build_cs, eigen_residual, mittag_leffler_check, stack_coeffs
-from .stats import QuadratureMoments, _number_moments, quadrature_stats, uncertainty_rhs
+from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
+from .stats import QuadratureMoments, _number_moments, _quadratures, _stencil, quadrature_stats, uncertainty_rhs
 from .measure import (
     moment_target,
     weight_lambda2,
@@ -39,13 +42,16 @@ from .measure import (
     unity_reconstruction,
     angular_offdiagonal,
 )
+from .specfun import mittag_leffler
 
 __all__ = [
     "CheckResult",
     "DenseOperators",
     "dense_operators",
+    "dense_quadratures",
     "dense_quadrature_moments",
     "dense_number_moments",
+    "mittag_leffler_check",
     "suite_commutators",
     "suite_sga",
     "suite_cs",
@@ -131,13 +137,18 @@ def dense_operators(params, n_max: int) -> DenseOperators:
     return DenseOperators(params, n_max, n_op, a, a_dag, b, b_dag, projectors, h0)
 
 
+def dense_quadratures(ops: DenseOperators, kind="dressed"):
+    """The matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real')."""
+    lo, hi = (ops.a, ops.a_dag) if kind == "dressed" else (ops.b, ops.b_dag)
+    return (hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)
+
+
 def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed") -> QuadratureMoments:
     """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
-    for the matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real')."""
-    lo, hi = (ops.a, ops.a_dag) if kind == "dressed" else (ops.b, ops.b_dag)
+    for the dense_quadratures matrices x and p."""
     v = np.asarray(coeffs, dtype=complex)
     out = []
-    for op in ((hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)):
+    for op in dense_quadratures(ops, kind):
         mean = float(np.real(np.vdot(v, op @ v)))
         c2 = np.linalg.matrix_power(op - mean * np.eye(v.size), 2)
         out.append((mean, float(np.real(np.vdot(v, c2 @ v))), float(np.real(np.vdot(v, c2 @ c2 @ v)))))
@@ -150,6 +161,38 @@ def dense_number_moments(ops: DenseOperators, coeffs):
     v = np.asarray(coeffs, dtype=complex)
     w = ops.b_dag @ (ops.b @ v)
     return float(np.real(np.vdot(v, w))), float(np.real(np.vdot(w, w)))
+
+
+def mittag_leffler_check(cs: CoherentState) -> float:
+    """For the undeformed case (alpha = 0) rebuild the state as
+
+        sqrt(mu! / E_{lambda,mu+1}(lambda^2 |z|^2)) * E_{lambda,mu+1}(lambda^2 z J_+) |mu>,
+
+    applying J_+ term by term to |mu>, and return the maximum absolute
+    coefficient deviation from cs."""
+    params, mu, z = cs.params, cs.mu, cs.z
+    if not np.allclose(params.alpha, 0.0, atol=1e-14):
+        raise ValueError("the Mittag-Leffler form requires alpha = 0")
+    lam = params.lam
+    amp = algebra.build_fock_rep(params, cs.n_max)[0, 1:]
+
+    term = np.zeros(cs.n_max + 1, dtype=complex)
+    term[mu] = 1.0 / math.gamma(mu + 1)
+    total = term.copy()
+    for k in range(1, (cs.n_max - mu) // lam + 2):  # the last k lambda + mu passes n_max
+        # T_k = lambda^2 z * (J_+ T_{k-1}) * Gamma(lam(k-1)+mu+1)/Gamma(lam k+mu+1)
+        ratio = math.exp(math.lgamma(lam * (k - 1) + mu + 1) - math.lgamma(lam * k + mu + 1))
+        for _ in range(lam):  # a† term: level n takes sqrt(F(n)) term[n - 1]
+            term[1:] = amp * term[:-1]
+            term[0] = 0.0
+        term = (lam * z) * term * ratio
+        total += term
+        nrm = np.linalg.norm(term)
+        if nrm <= 1e-18 * np.linalg.norm(total) or nrm == 0.0:
+            break
+    e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
+    rebuilt = total * math.sqrt(math.gamma(mu + 1) / e_val)
+    return float(np.max(np.abs(rebuilt - cs.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +210,14 @@ def suite_commutators(seed: int = 12345):
         top = slice(0, n_max)  # rows/cols free of the a a† truncation artifact
         tag = _tag(lam, alpha)
 
+        # the shift the moment kernel runs, x v and p v, against the dense matrices
         ladder = algebra.build_fock_rep(params, n_max)
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         add(_check("ladder-dense-agreement", tag, [
             np.max(np.abs(got - want)) / np.max(np.abs(want))
-            for kind, lo, hi in (("dressed", fock.a, fock.a_dag), ("real", fock.b, fock.b_dag))
-            for got, want in ((ladder.lower(v, kind), lo @ v), (ladder.raise_(v, kind), hi @ v))
+            for kind in ("dressed", "real")
+            for got, want in zip(_quadratures(v[None], _stencil(ladder, kind)),
+                                 (op @ v for op in dense_quadratures(fock, kind)))
         ], 1e-15))
 
         comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a

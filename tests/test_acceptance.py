@@ -18,11 +18,11 @@ from cyclosc.sga import (
     extract_polynomials,
     closed_forms,
 )
-from cyclosc.coherent import build_cs, eigen_residual, mittag_leffler_check
+from cyclosc.coherent import build_cs, eigen_residual
 from cyclosc.stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from cyclosc.measure import moment_target, weight_lambda2, weight_photon, moment_check
 from cyclosc.cli import main as cli_main
-from cyclosc.verify import dense_operators, _brute_norm
+from cyclosc.verify import dense_operators, _brute_norm, mittag_leffler_check
 
 DEFORMED = {2: [0.7, -0.7], 3: [-0.5, 0.25, 0.25], 4: [0.3, -0.1, 0.2, -0.4]}
 

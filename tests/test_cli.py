@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -189,6 +190,19 @@ def test_sweep_truncation_exit(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("quantity", ["Y", "var-x"])
+def test_sweep_moment_overflow_exit(capsys, quantity):
+    # no nan rows and no numpy warning: one error line, exit 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "sweep", "--lambda", "2", "--alpha=1e160,auto", "--quantity", quantity,
+            "--r-from", "0", "--r-to", "1", "--steps", "3",
+        )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "overflow" in err
 
 
 def test_verify_single_suite(tmp_path, capsys):

@@ -10,13 +10,12 @@ from scipy import special
 from cyclosc import coherent
 from cyclosc.algebra import validate_params, random_admissible_alpha, structure_function
 from cyclosc.cli import main
-from cyclosc.verify import dense_operators, _brute_norm
+from cyclosc.verify import dense_operators, _brute_norm, mittag_leffler_check
 from cyclosc.coherent import (
     TruncationError,
     build_cs,
     eigen_residual,
     stack_coeffs,
-    mittag_leffler_check,
 )
 
 

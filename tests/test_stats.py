@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,28 @@ def test_report_bundles_consistently():
 
 
 def test_kind_validation():
+    # a bad kind is bad input, and the error names it
     p, cs = _state(2, [0.0, 0.0], 0, 1.0)
-    with pytest.raises(ValueError):
-        quadrature_stats(cs, "bare")
+    for stat in (quadrature_stats, squeeze_ratios):
+        for kind in ("bare", "bogus"):
+            with pytest.raises(ValueError, match=f"got '{kind}'"):
+                stat(cs, kind)
+
+
+def test_moment_overflow_is_named_not_nan():
+    # at lambda = 2 the dressed fourth moments scale as F(1)^2 = (1 + alpha_0)^2,
+    # which leaves the double range between alpha_0 = 2e154 and 3e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a0 in (1e154, 2e154):
+            p, cs = _state(2, [a0, -a0], 0, 0.5)
+            assert all(map(math.isfinite, squeeze_ratios(cs)))
+            assert all(map(math.isfinite, vars(quadrature_stats(cs)).values()))
+        for a0 in (3e154, 1e155, 1e160):
+            for mu in (0, 1):
+                p, cs = _state(2, [a0, -a0], mu, 0.5)
+                for call in (squeeze_ratios, quadrature_stats, stats_report):
+                    with pytest.raises(RuntimeError, match="dressed quadrature moments overflow"):
+                        call(cs)
+                # the canonical pair's moments stay small
+                assert all(map(math.isfinite, squeeze_ratios(cs, "real")))
