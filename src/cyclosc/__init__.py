@@ -19,10 +19,8 @@ from .algebra import (
     random_admissible_alpha,
 )
 from .sga import (
-    SgaRep,
     SgaPolynomials,
     build_sga,
-    extract_polynomials,
     closed_forms,
 )
 from .coherent import (

@@ -15,17 +15,16 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, _check_mu, validate_params, energy
-from .sga import build_sga, extract_polynomials, closed_forms
+from .algebra import _check_mu, validate_params, energy
+from .sga import build_sga, closed_forms
 from .coherent import build_cs
 from .stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from .verify import run_suites, SUITES
 
-__all__ = ["SweepSpec", "main", "run"]
+__all__ = ["main", "run"]
 
 _RATIO_INDEX = {"X": 0, "P": 1, "Y": 2, "Q4": 3}
 _QUANTITIES = ("mandel-q", "var-x", "var-p") + tuple(_RATIO_INDEX)
@@ -40,7 +39,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_alpha(lam: int, text) -> list:
     if text is None:
-        return [0.0] * lam
+        try:
+            return [0.0] * lam
+        except OverflowError:  # a lambda that cannot index a list
+            raise ValueError(f"lambda = {lam} is too large") from None
     parts = [p.strip() for p in str(text).split(",")]
     vals = []
     for i, part in enumerate(parts):
@@ -61,18 +63,15 @@ def _parse_complex(text: str) -> complex:
         raise ValueError(f"invalid complex number {text!r}") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated sweep request: which statistic, over which z points."""
-
-    params: AlgebraParams
-    mu: int
-    kind: str
-    quantity: str
-    points: tuple
+def _write_out(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def make_sweep_spec(args) -> SweepSpec:
+def cmd_sweep(args) -> int:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
     mu = _check_mu(params.lam, args.mu)
     if args.steps < 2:
@@ -89,7 +88,7 @@ def make_sweep_spec(args) -> SweepSpec:
         z1 = _parse_complex(args.z_to)
         if z0 == z1:
             raise ValueError("sweep endpoints must differ")
-        points = tuple(complex(z0 + (z1 - z0) * t) for t in ts)
+        points = [complex(z0 + (z1 - z0) * t) for t in ts]
     else:
         if args.r_from is None or args.r_to is None:
             raise ValueError("both --r-from and --r-to are required")
@@ -98,40 +97,22 @@ def make_sweep_spec(args) -> SweepSpec:
         if args.r_from == args.r_to:
             raise ValueError("sweep endpoints must differ")
         ph = complex(math.cos(args.phase), math.sin(args.phase))
-        points = tuple(
-            complex((args.r_from + (args.r_to - args.r_from) * t) * ph) for t in ts
-        )
-    return SweepSpec(params, mu, args.photons, args.quantity, points)
+        points = [complex((args.r_from + (args.r_to - args.r_from) * t) * ph) for t in ts]
 
-
-def evaluate_point(spec: SweepSpec, z: complex) -> float:
-    cs = build_cs(spec.params, spec.mu, z)
-    if spec.quantity == "mandel-q":
-        q = mandel_q(cs)
-        if q is None:
-            raise ValueError(f"mandel-q is undefined at z = {z:.6g} in sector mu = {spec.mu}: "
-                             "<N> < 1e-12 there")
-        return q
-    if spec.quantity == "var-x":
-        return quadrature_stats(cs, spec.kind).var_x
-    if spec.quantity == "var-p":
-        return quadrature_stats(cs, spec.kind).var_p
-    return squeeze_ratios(cs, spec.kind)[_RATIO_INDEX[spec.quantity]]
-
-
-def _write_out(text: str, out) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_sweep(args) -> int:
-    spec = make_sweep_spec(args)
     lines = ["z_re,z_im,abs_z,value"]
-    for z in spec.points:
-        val = evaluate_point(spec, z)
+    for z in points:
+        cs = build_cs(params, mu, z)
+        if args.quantity == "mandel-q":
+            val = mandel_q(cs)
+            if val is None:
+                raise ValueError(f"mandel-q is undefined at z = {z:.6g} in sector mu = {mu}: "
+                                 "<N> < 1e-12 there")
+        elif args.quantity == "var-x":
+            val = quadrature_stats(cs, args.photons).var_x
+        elif args.quantity == "var-p":
+            val = quadrature_stats(cs, args.photons).var_p
+        else:
+            val = squeeze_ratios(cs, args.photons)[_RATIO_INDEX[args.quantity]]
         lines.append(f"{z.real:.17g},{z.imag:.17g},{abs(z):.17g},{val:.17g}")
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
@@ -165,7 +146,7 @@ def cmd_info(args) -> int:
 def cmd_sga(args) -> int:
     params = validate_params(args.lam, _parse_alpha(args.lam, args.alpha))
     lam = params.lam
-    poly = extract_polynomials(build_sga(params))
+    poly = build_sga(params)
 
     if args.format == "csv":
         lines = ["kind,mu,power,value"]

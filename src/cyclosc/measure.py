@@ -55,13 +55,18 @@ class MomentTarget:
 def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     """k-th moment the sector-mu weight must reproduce:
     D_k^2 / (pi lambda^{lambda-2}) with D_k^2 = prod_{mu < j <= k lambda + mu} F(j)/lambda;
-    equals 1/(pi lambda^{lambda-2}) at k = 0."""
+    equals 1/(pi lambda^{lambda-2}) at k = 0.  Raises RuntimeError if D_k^2
+    overflows double precision."""
     lam = params.lam
     mu = _check_mu(lam, mu)
     if not 0 <= k < math.inf or int(k) != k:
         raise ValueError(f"k must be a nonnegative integer, got {k}")
-    d2 = np.prod(structure_function(params, np.arange(mu + 1, int(k) * lam + mu + 1)) / lam)
-    return MomentTarget(mu, int(k), float(d2) / (math.pi * lam ** (lam - 2)), lam)
+    k = int(k)
+    with np.errstate(over="ignore"):  # an overflow is named below
+        d2 = float(np.prod(structure_function(params, np.arange(mu + 1, k * lam + mu + 1)) / lam))
+    if d2 == math.inf:
+        raise RuntimeError(f"D_k^2 overflows double precision at lambda = {lam}, mu = {mu}, k = {k}")
+    return MomentTarget(mu, k, d2 / (math.pi * lam ** (lam - 2)), lam)
 
 
 def weight_lambda2(params: AlgebraParams, mu: int, y):

@@ -13,12 +13,12 @@ J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
 prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n>; on sector mu each equals
 lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod
 lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
-One call, extract_polynomials(build_sga(params)), gives f, h and the Casimir
-eigenvalues: they are expanded from those roots and validated against the
-products at the levels k lambda + mu, k <= 3 lambda - 1, of the fixed
-truncation extraction_n_max(lambda), for all sectors at once (one coefficient
-array, one row-wise Horner pass); the lambda = 2, 3 closed forms
-(closed_forms) serve as goldens.
+One call, build_sga(params), gives f, h and the Casimir eigenvalues: they are
+expanded from those roots and validated against the products at the levels
+k lambda + mu, k <= 3 lambda - 1, of the fixed truncation
+extraction_n_max(lambda), for all sectors at once (one coefficient array, one
+row-wise Horner pass); the lambda = 2, 3 closed forms (closed_forms) serve as
+goldens.
 The products overflow double precision from about lambda = 74
 (lambda <= 73 works at alpha = 0); build_sga tests the largest in log space
 and raises RuntimeError before it forms any.
@@ -35,25 +35,7 @@ import numpy as np
 
 from .algebra import _LOG_MAX, AlgebraParams, energy, structure_function
 
-__all__ = [
-    "SgaRep",
-    "SgaPolynomials",
-    "extraction_n_max",
-    "build_sga",
-    "extract_polynomials",
-    "closed_forms",
-]
-
-
-@dataclass(frozen=True)
-class SgaRep:
-    """Diagonals of J_0 (j0), J_+ J_- (jp_jm) and J_- J_+ (jm_jp) on |0> ... |n_max>,
-    taken from the parameters, so the top levels carry no truncation artifact."""
-
-    params: AlgebraParams
-    j0: np.ndarray
-    jp_jm: np.ndarray
-    jm_jp: np.ndarray
+__all__ = ["SgaPolynomials", "extraction_n_max", "build_sga", "closed_forms"]
 
 
 @dataclass(frozen=True)
@@ -75,14 +57,21 @@ class SgaPolynomials:
 
 
 def extraction_n_max(lam: int) -> int:
-    """The truncation of build_sga and of verify's dense matrices: every validation
-    level n = k lam + mu, k <= 3 lam - 1, keeps n + lam <= n_max, so a truncated
-    J_- J_+ is exact there."""
+    """The top level of build_sga's products and the truncation of verify's dense
+    matrices: every validation level n = k lam + mu, k <= 3 lam - 1, keeps
+    n + lam <= n_max, so a truncated J_- J_+ is exact there."""
     return 3 * lam * lam + 2 * lam
 
 
-def build_sga(params: AlgebraParams) -> SgaRep:
-    """Form the J_0, J_+ J_- and J_- J_+ diagonals on |0> ... |extraction_n_max(lambda)>."""
+def build_sga(params: AlgebraParams) -> SgaPolynomials:
+    """Per sector, f with [J_+, J_-] = f(J_0) (degree lambda-1), h with
+    J_- J_+ + h(J_0) constant (degree lambda, h(0) = 0) and that constant,
+    the Casimir eigenvalue c_mu, all expanded from the roots of the two
+    products and validated (_fit) against the products themselves, formed from
+    the parameters on |0> ... |extraction_n_max(lambda)>, so the top levels
+    carry no truncation artifact.  Raises RuntimeError if the products
+    overflow double precision or a validation residual is not below 1e-8.
+    """
     lam = params.lam
     n_max = extraction_n_max(lam)
     overflow = f"SGA products overflow double precision at lambda = {lam}, n_max = {n_max}"
@@ -91,7 +80,6 @@ def build_sga(params: AlgebraParams) -> SgaRep:
     top = np.log(structure_function(params, np.arange(n_max + 1, n_max + lam + 1))).sum()
     if top - 2.0 * np.log(lam) > _LOG_MAX:
         raise RuntimeError(overflow)
-    n = np.arange(n_max + 1)
     # prods[i] = F(i+1-lambda) ... F(i) / lambda^2 for i = 0 .. n_max + lambda, with F(0) = 0
     # below level 1 ending the lowering: J_+ J_- at n is prods[n], J_- J_+ is prods[n + lambda]
     f = structure_function(params, np.maximum(np.arange(1 - lam, n_max + lam + 1), 0))
@@ -101,7 +89,8 @@ def build_sga(params: AlgebraParams) -> SgaRep:
             prods *= f[j:j + prods.size]
     if not np.all(np.isfinite(prods[-lam:])):  # backstop to the log-space test
         raise RuntimeError(overflow)
-    return SgaRep(params, energy(params, n) / lam, prods[:n.size], prods[lam:])
+    ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]  # row mu: k lambda + mu
+    return _fit(params, energy(params, ns) / lam, prods[ns], prods[ns + lam])
 
 
 def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:
@@ -134,26 +123,19 @@ def _raise_first(resid: np.ndarray, message: str) -> None:
         raise RuntimeError(message.format(mu=mu, v=resid[mu]))
 
 
-def extract_polynomials(sga: SgaRep) -> SgaPolynomials:
-    """Per sector, f with [J_+, J_-] = f(J_0) (degree lambda-1), h with
-    J_- J_+ + h(J_0) constant (degree lambda, h(0) = 0) and that constant,
-    the Casimir eigenvalue c_mu, all expanded from the roots of the two
-    products.
-
-    Validated at every level k lambda + mu with k <= 3*lambda-1: f against
-    J_+ J_- - J_- J_+, then constancy of J_- J_+ + h and of the second
-    Casimir form J_+ J_- + h - f, each to 1e-8 relative to the local
-    magnitude.  A residual that is not below 1e-8 raises RuntimeError
-    (implementation-bug signal), f's over all sectors before h's.
+def _fit(params: AlgebraParams, x: np.ndarray, low: np.ndarray, g: np.ndarray) -> SgaPolynomials:
+    """f, h and c from the roots, validated at the levels whose J_0, J_+ J_- and
+    J_- J_+ are row mu of x, low and g (sector mu): f against J_+ J_- - J_- J_+,
+    then constancy of J_- J_+ + h and of the second Casimir form J_+ J_- + h - f,
+    each to 1e-8 relative to the local magnitude.  A residual that is not below
+    1e-8 raises RuntimeError (implementation-bug signal), f's over all sectors
+    before h's.
     """
-    params = sga.params
     lam = params.lam
     t = -_root_polys(params, np.arange(1, lam + 1))  # J_- J_+ = c - h
     s = (_root_polys(params, -np.arange(lam)) + t)[:, :lam]
     c = -t[:, 0]
     t[:, 0] = 0.0
-    ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]  # row mu: k lambda + mu
-    x, low, g = sga.j0[ns], sga.jp_jm[ns], sga.jm_jp[ns]
     f_val = _horner(s, x)
     comm = low - g
     f_resid = np.max(np.abs(f_val - comm) / np.maximum(1.0, np.abs(comm)), axis=1)

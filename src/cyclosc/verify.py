@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
-from .sga import build_sga, extraction_n_max, extract_polynomials, closed_forms
+from .sga import build_sga, extraction_n_max, closed_forms
 from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
 from .stats import QuadratureMoments, _number_moments, _quadratures, _stencil, quadrature_stats, uncertainty_rhs
 from .measure import (
@@ -283,7 +283,7 @@ def suite_sga(seed: int = 12345):
         add(_check("jminus-annihilates-sector-floor", tag, np.linalg.norm(j_minus[:, :lam], axis=0), 0.0))
 
         try:
-            poly = extract_polynomials(build_sga(params))
+            poly = build_sga(params)
         except RuntimeError as exc:
             add(CheckResult("polynomial-extraction", f"{tag} {exc}", math.inf, 1e-8))
             continue

@@ -15,7 +15,6 @@ from cyclosc.algebra import (
 )
 from cyclosc.sga import (
     build_sga,
-    extract_polynomials,
     closed_forms,
 )
 from cyclosc.coherent import build_cs, eigen_residual
@@ -64,7 +63,7 @@ def test_02_sga_polynomials_match_closed_forms():
     for lam in (2, 3):
         for _ in range(25):
             p = validate_params(lam, random_admissible_alpha(lam, rng))
-            poly = extract_polynomials(build_sga(p))
+            poly = build_sga(p)
             dev = max(float(np.max(np.abs(got - want)))
                       for got, want in zip((poly.s, poly.t, poly.c), closed_forms(p)))
             worst = max(worst, dev)

@@ -35,6 +35,17 @@ def test_info_rejects_lambda_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", [["info"], ["sga"], ["sweep", "--quantity", "X", "--r-from", "0", "--r-to", "1"]],
+                         ids=["info", "sga", "sweep"])
+def test_lambda_too_large_to_index_is_bad_input(capsys, command):
+    # 10^30 fails before any allocation; the default alpha of a lambda near 10^9 would not
+    lam = "1" + "0" * 30
+    code, out, err = run(capsys, command[0], "--lambda", lam, *command[1:])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and f"lambda = {lam}" in err
+
+
 @pytest.mark.parametrize("alpha", ["nan,auto", "inf,-inf", "0.5,nan,auto"])
 def test_info_nonfinite_alpha_is_bad_input(capsys, alpha):
     lam = str(alpha.count(",") + 1)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -50,6 +51,16 @@ def test_target_tracks_coefficient_denominators():
                     want = _mp_target(p, mu, k)
                     got = moment_target(p, mu, k).target
                     assert abs(got - want) <= 1e-14 * want, (lam, p.alpha, mu, k)
+
+
+@pytest.mark.parametrize("lam, k", [(60, 12), (2, 400)])
+def test_target_overflow_is_named(lam, k):
+    p = validate_params(lam, [0.0] * lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        with pytest.raises(RuntimeError, match=f"^D_k\\^2 overflows double precision at lambda = {lam}, mu = 0, k = {k}$"):
+            moment_target(p, 0, k)
+    assert math.isfinite(moment_target(p, 0, 2).target)
 
 
 def test_moment_rule_against_mpmath_targets():

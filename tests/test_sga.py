@@ -7,13 +7,13 @@ import pytest
 from cyclosc.algebra import (
     validate_params,
     energy,
+    structure_function,
     random_admissible_alpha,
 )
 from cyclosc.sga import (
-    SgaRep,
     build_sga,
-    extract_polynomials,
     closed_forms,
+    _fit,
     _root_polys,
 )
 from cyclosc.verify import dense_operators
@@ -26,6 +26,17 @@ polyfromroots = np.polynomial.polynomial.polyfromroots
 def _sga(lam, alpha):
     p = validate_params(lam, alpha)
     return p, build_sga(p)
+
+
+def _validation_levels(lam, alpha):
+    """J_0, J_+ J_- and J_- J_+ at the levels k lambda + mu (row mu, k <= 3 lambda - 1),
+    the products taken factor by factor from F (F = 0 from level 0 down)."""
+    p = validate_params(lam, alpha)
+    ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]
+    f = lambda n: structure_function(p, np.maximum(n, 0))
+    low = np.prod([f(ns - j) for j in range(lam)], axis=0) / lam ** 2
+    high = np.prod([f(ns + j) for j in range(1, lam + 1)], axis=0) / lam ** 2
+    return p, energy(p, ns) / lam, low, high
 
 
 def _dense(lam, alpha):
@@ -54,8 +65,7 @@ def test_jminus_kills_sector_floors():
 
 def test_lambda2_closed_forms():
     for a0 in (-0.5, 0.0, 0.5, 2.0):
-        p, sga = _sga(2, [a0, -a0])
-        poly = extract_polynomials(sga)
+        p, poly = _sga(2, [a0, -a0])
         s = poly.s
         assert np.allclose(s, [[0.0, -2.0]] * 2, atol=1e-10)
         assert np.allclose(poly.t, [[0.0, -1.0, -1.0]] * 2, atol=1e-10)
@@ -72,8 +82,7 @@ def test_lambda2_closed_forms():
 def test_lambda3_closed_forms_match_extraction():
     rng = np.random.default_rng(11)
     for _ in range(6):
-        p, sga = _sga(3, random_admissible_alpha(3, rng))
-        poly = extract_polynomials(sga)
+        p, poly = _sga(3, random_admissible_alpha(3, rng))
         cf_s, cf_t, cf_c = closed_forms(p)
         assert (cf_s.shape, cf_t.shape, cf_c.shape) == ((3, 3), (3, 4), (3,))
         assert np.max(np.abs(poly.s - cf_s)) < 1e-9
@@ -82,15 +91,13 @@ def test_lambda3_closed_forms_match_extraction():
 
 
 def test_lambda3_undeformed_values():
-    p, sga = _sga(3, [0.0, 0.0, 0.0])
-    poly = extract_polynomials(sga)
+    p, poly = _sga(3, [0.0, 0.0, 0.0])
     assert np.allclose(poly.s, [[-5.0 / 12.0, 0.0, -9.0]] * 3, atol=1e-10)
     assert np.allclose(poly.c, [5.0 / 24.0] * 3, atol=1e-10)
 
 
 def test_lambda2_undeformed_casimir():
-    p, sga = _sga(2, [0.0, 0.0])
-    poly = extract_polynomials(sga)
+    p, poly = _sga(2, [0.0, 0.0])
     assert np.allclose(poly.c, [3.0 / 16.0] * 2, atol=1e-12)
 
 
@@ -106,8 +113,7 @@ def test_lowest_j0_eigenvalue_per_sector():
 
 
 def test_casimir_constant_along_sectors():
-    p, sga = _sga(4, [0.3, -0.1, 0.2, -0.4])
-    poly = extract_polynomials(sga)
+    p, poly = _sga(4, [0.3, -0.1, 0.2, -0.4])
     _, _, (j_plus, j_minus, _) = _dense(4, [0.3, -0.1, 0.2, -0.4])
     g = np.diag(j_minus @ j_plus)
     for mu in range(4):
@@ -122,43 +128,46 @@ def test_casimir_constant_along_sectors():
 def test_h_pinned_at_zero():
     rng = np.random.default_rng(23)
     for lam in (2, 3, 4):
-        p, sga = _sga(lam, random_admissible_alpha(lam, rng))
-        poly = extract_polynomials(sga)
+        p, poly = _sga(lam, random_admissible_alpha(lam, rng))
         assert np.max(np.abs(poly.t[:, 0])) == 0.0
 
 
+def test_validator_accepts_the_levels_build_sga_fits():
+    rng = np.random.default_rng(5)
+    for lam in (2, 3, 4, 7):
+        p, x, low, high = _validation_levels(lam, random_admissible_alpha(lam, rng))
+        got, want = _fit(p, x, low, high), build_sga(p)
+        for field in ("s", "t", "c"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        assert np.max(np.abs(got.f_residual - want.f_residual)) < 1e-12
+        assert np.max(np.abs(got.h_residual - want.h_residual)) < 1e-12
+
+
 def test_tampered_representation_detected():
-    _, sga = _sga(2, [0.5, -0.5])
-    bad = sga.jp_jm.copy()
-    bad[6] *= 1.0 + 1e-5
-    tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
+    p, x, low, high = _validation_levels(2, [0.5, -0.5])
+    low[0, 3] *= 1.0 + 1e-5  # level 6 = 3 lambda + 0
     with pytest.raises(RuntimeError, match=r"\[J_\+, J_-\] is not a degree-1 polynomial in J_0 on sector 0 "):
-        extract_polynomials(tampered)
+        _fit(p, x, low, high)
 
 
 def test_top_validated_level_is_checked_in_every_sector():
     # levels k lambda + mu with k <= 3 lambda - 1: the top one of sector mu is (3 lambda - 1) lambda + mu
     lam = 4
-    _, sga = _sga(lam, [0.3, -0.1, 0.2, -0.4])
     for mu in range(lam):
-        bad = sga.jp_jm.copy()
-        bad[(3 * lam - 1) * lam + mu] *= 1.0 + 1e-5
-        tampered = SgaRep(sga.params, sga.j0, bad, sga.jm_jp)
+        p, x, low, high = _validation_levels(lam, [0.3, -0.1, 0.2, -0.4])
+        low[mu, 3 * lam - 1] *= 1.0 + 1e-5
         with pytest.raises(RuntimeError, match=f"on sector {mu} "):
-            extract_polynomials(tampered)
+            _fit(p, x, low, high)
 
 
 def test_h_gate_catches_a_shift_that_leaves_f_intact():
     # the same offset on J_+ J_- and J_- J_+ keeps their difference, so only h fails
-    _, sga = _sga(3, [-0.5, 0.25, 0.25])
-    n = 2 * 3  # sector 0, k = 2
-    offset = 1e-5 * sga.jm_jp[n]
-    up, down = sga.jp_jm.copy(), sga.jm_jp.copy()
-    up[n] += offset
-    down[n] += offset
-    tampered = SgaRep(sga.params, sga.j0, up, down)
+    p, x, low, high = _validation_levels(3, [-0.5, 0.25, 0.25])
+    offset = 1e-5 * high[0, 2]  # sector 0, k = 2: level 6
+    low[0, 2] += offset
+    high[0, 2] += offset
     with pytest.raises(RuntimeError, match=r"J_- J_\+ \+ h\(J_0\) is not constant on sector 0 "):
-        extract_polynomials(tampered)
+        _fit(p, x, low, high)
 
 
 def _loop_root_poly(p, mu, shifts):
