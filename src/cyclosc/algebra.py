@@ -4,10 +4,10 @@ The ladder pair (a, a†) obeys [a, a†] = I + sum_mu alpha_mu P_mu, where
 P_mu projects onto the Fock levels n ≡ mu (mod lambda) and the deformation
 parameters alpha_mu sum to zero.  Everything is controlled by the structure
 function F(n) = n + beta_{n mod lambda} with beta_mu the partial sums of
-alpha; a|n> = sqrt(F(n)) |n-1>.  This module validates parameters and builds
-the ladder amplitudes sqrt(F(n)) and sqrt(n) as the two rows of one array;
-stats applies a, a† and their canonical counterparts to state vectors with
-them, as one vectorised shift.
+alpha; a|n> = sqrt(F(n)) |n-1>.  This module validates parameters, builds the
+ladder amplitudes sqrt(F(n)) and sqrt(n) as the two rows of one array (stats
+shifts state vectors with them) and the one J_+ J_- diagonal, ladder_products,
+that sga, coherent and verify read J_+ J_-, J_- J_+ and J_- from.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "structure_function",
     "energy",
     "build_fock_rep",
+    "ladder_products",
     "random_admissible_alpha",
 ]
 
@@ -52,9 +53,7 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     F(mu) = beta_mu + mu > 0 for mu = 1..lambda-1, so every Fock state has
     positive norm.
     """
-    if not 2 <= lam < np.inf or int(lam) != lam:  # int() of inf or NaN raises its own error
-        raise ValueError(f"lambda must be an integer >= 2, got {lam}")
-    lam = int(lam)
+    lam = _check_lam(lam)
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if alpha.shape != (lam,):
         raise ValueError(f"alpha must have length {lam}, got {alpha.size}")
@@ -77,6 +76,13 @@ def validate_params(lam: int, alpha) -> AlgebraParams:
     beta_bar = (beta + np.arange(lam + 1)) / lam
     gamma = 0.5 * (beta[:lam] + np.concatenate([beta[1:lam], [0.0]]))
     return AlgebraParams(lam, alpha, beta, beta_bar, gamma)
+
+
+def _check_lam(lam) -> int:
+    """lambda as an int >= 2, else ValueError."""
+    if not 2 <= lam < np.inf or int(lam) != lam:  # int() of inf or NaN raises its own error
+        raise ValueError(f"lambda must be an integer >= 2, got {lam}")
+    return int(lam)
 
 
 def _check_mu(lam: int, mu) -> int:
@@ -110,6 +116,19 @@ def build_fock_rep(params: AlgebraParams, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max must be at least lambda = {params.lam}, got {n_max}")
     n = np.arange(n_max + 1)
     return np.sqrt([structure_function(params, n), n])
+
+
+def ladder_products(params: AlgebraParams, n_top: int) -> np.ndarray:
+    """J_+ J_- on |0> ... |n_top>, F(n+1-lambda) ... F(n) / lambda^2 at n: 0 below
+    level lambda, where F(0) = 0 ends the lowering, and inf past the double range.
+    J_- J_+ on |n> is entry n + lambda; J_- takes |n> to sqrt(entry n) |n - lambda>."""
+    lam = params.lam
+    f = structure_function(params, np.maximum(np.arange(1 - lam, n_top + 1), 0))
+    prods = np.full(n_top + 1, 1.0 / (lam * lam))
+    with np.errstate(over="ignore"):
+        for j in range(lam):
+            prods *= f[j:j + prods.size]
+    return prods
 
 
 def random_admissible_alpha(lam: int, rng: np.random.Generator) -> np.ndarray:

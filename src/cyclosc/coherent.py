@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _LOG_MAX, AlgebraParams, _check_mu, build_fock_rep, structure_function
+from .algebra import _LOG_MAX, AlgebraParams, _check_mu, ladder_products, structure_function
 
 __all__ = [
     "TruncationError",
@@ -146,14 +146,15 @@ def stack_coeffs(states) -> np.ndarray:
 
 
 def eigen_residual(cs: CoherentState) -> float:
-    """Relative eigenvalue defect ||J_- v - z v|| / max(|z|, 1), ignoring the
-    top lambda Fock levels, whose J_- image lies beyond the truncation."""
-    lam = cs.params.lam
-    amp = build_fock_rep(cs.params, cs.n_max)[0, 1:]
-    w = cs.coeffs.copy()
-    for _ in range(lam):  # a w: level n - 1 takes sqrt(F(n)) w[n]
-        w[:-1] = amp * w[1:]
-        w[-1] = 0.0
-    w = w / lam - cs.z * cs.coeffs
-    w[cs.n_max - lam + 1:] = 0.0
+    """||J_- v - z v|| / max(|z|, 1) without the top sector level, whose J_- image
+    lies past the truncation: the sector slice, up to its last nonzero entry, times
+    sqrt(J_+ J_-).  RuntimeError where that overflows (from lambda = 136 at alpha = 0, |z| = 1)."""
+    lam, mu = cs.params.lam, cs.mu
+    d = cs.coeffs[mu::lam]
+    top = int(np.flatnonzero(d)[-1])
+    amp = np.sqrt(ladder_products(cs.params, top * lam + mu)[mu + lam::lam])
+    if not np.all(np.isfinite(amp)):
+        raise RuntimeError(f"J_+ J_- overflows double precision at lambda = {lam}, level {top * lam + mu}")
+    w = -cs.z * d[:-1]
+    w[:top] += amp * d[1:top + 1]
     return float(np.linalg.norm(w) / max(abs(cs.z), 1.0))

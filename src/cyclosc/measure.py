@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraParams, _check_mu, structure_function
+from .algebra import AlgebraParams, _check_lam, _check_mu, structure_function
 from .specfun import bessel_k
 from .coherent import build_cs, stack_coeffs
 
@@ -56,7 +56,7 @@ def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     """k-th moment the sector-mu weight must reproduce:
     D_k^2 / (pi lambda^{lambda-2}) with D_k^2 = prod_{mu < j <= k lambda + mu} F(j)/lambda;
     equals 1/(pi lambda^{lambda-2}) at k = 0.  Raises RuntimeError if D_k^2
-    overflows double precision."""
+    or pi lambda^{lambda-2} (from lambda = 145) overflows double precision."""
     lam = params.lam
     mu = _check_mu(lam, mu)
     if not 0 <= k < math.inf or int(k) != k:
@@ -64,9 +64,11 @@ def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     k = int(k)
     with np.errstate(over="ignore"):  # an overflow is named below
         d2 = float(np.prod(structure_function(params, np.arange(mu + 1, k * lam + mu + 1)) / lam))
-    if d2 == math.inf:
-        raise RuntimeError(f"D_k^2 overflows double precision at lambda = {lam}, mu = {mu}, k = {k}")
-    return MomentTarget(mu, k, d2 / (math.pi * lam ** (lam - 2)), lam)
+        norm = math.pi * np.float64(lam) ** (lam - 2)
+    for name, v in (("D_k^2", d2), ("pi lambda^(lambda-2)", norm)):
+        if v == math.inf:
+            raise RuntimeError(f"{name} overflows double precision at lambda = {lam}, mu = {mu}, k = {k}")
+    return MomentTarget(mu, k, d2 / float(norm), lam)
 
 
 def weight_lambda2(params: AlgebraParams, mu: int, y):
@@ -79,8 +81,7 @@ def weight_lambda2(params: AlgebraParams, mu: int, y):
     Positive for all y > 0; y is a float or an array."""
     if params.lam != 2:
         raise ValueError("weight_lambda2 requires lambda = 2")
-    if mu not in (0, 1):
-        raise ValueError("mu must be 0 or 1")
+    mu = _check_mu(2, mu)
     if not np.all((y > 0) & (y < math.inf)):
         raise ValueError("y must be finite and positive")
     a2 = params.beta_bar[1] - 1.0 + mu
@@ -98,11 +99,8 @@ def weight_photon(lam: int, mu: int, y):
 
     The y -> 0 singularity is integrable; the u = y^{1/lambda} substitution
     used by moment_check removes it exactly.  y is a float or an array."""
-    if not 2 <= lam < math.inf or int(lam) != lam:
-        raise ValueError(f"lambda must be an integer >= 2, got {lam}")
-    lam = int(lam)
-    if not 0 <= mu < lam or int(mu) != mu:
-        raise ValueError(f"mu must be in 0..{lam - 1}, got {mu}")
+    lam = _check_lam(lam)
+    mu = _check_mu(lam, mu)
     if not np.all((y > 0) & (y < math.inf)):
         raise ValueError("y must be finite and positive")
     return (

@@ -10,18 +10,18 @@ Casimir C = J_- J_+ + h(J_0, P_mu) = J_+ J_- + h - f is constant on each
 sector, with h of degree lambda.
 
 J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
-prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n>; on sector mu each equals
-lambda^{lambda-2} prod_j (J_0 - r_j), r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod
-lambda}) / lambda, over j = 0, -1, ..., 1-lambda and j = 1..lambda respectively.
-One call, build_sga(params), gives f, h and the Casimir eigenvalues: they are
-expanded from those roots and validated against the products at the levels
-k lambda + mu, k <= 3 lambda - 1, of the fixed truncation
-extraction_n_max(lambda), for all sectors at once (one coefficient array, one
-row-wise Horner pass); the lambda = 2, 3 closed forms (closed_forms) serve as
-goldens.
-The products overflow double precision from about lambda = 74
-(lambda <= 73 works at alpha = 0); build_sga tests the largest in log space
-and raises RuntimeError before it forms any.
+prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n> (algebra.ladder_products at n and
+n + lambda); on sector mu they are P_- and P_+ = lambda^{lambda-2} prod_j (J_0 - r_j),
+r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod lambda}) / lambda, over j = 0, -1,
+..., 1-lambda and j = 1..lambda.  One call, build_sga(params), validates both
+against the diagonals at the levels k lambda + mu, k <= 3 lambda - 1, of every
+sector in one stacked row-wise Horner pass, to 1e-8 relative to the monomial
+form's own magnitude sum_i |p_i| |J_0|^i (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., sec. 5.1), and returns their exact combinations
+f = P_- - P_+, h = P_+(0) - P_+ and c = P_+(0); closed_forms gives the lambda =
+2, 3 goldens.  The products overflow double precision from about lambda = 74
+(lambda <= 73 works at alpha = 0): build_sga tests the largest in log space,
+with its import-time structure_function, and raises RuntimeError first.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _LOG_MAX, AlgebraParams, energy, structure_function
+from .algebra import _LOG_MAX, AlgebraParams, energy, ladder_products, structure_function
 
-__all__ = ["SgaPolynomials", "extraction_n_max", "build_sga", "closed_forms"]
+__all__ = ["SgaPolynomials", "build_sga", "closed_forms"]
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class SgaPolynomials:
     s[mu][i] — coefficient of J_0^i in f on sector mu (degree lambda-1),
     t[mu][i] — coefficient of J_0^i in h on sector mu (degree lambda, t[mu][0] = 0),
     c[mu]    — Casimir eigenvalue on sector mu.
-    f_residual/h_residual — worst relative deviation from the diagonal
-    products at the validation levels.
+    f_residual/h_residual — worst deviation of P_- from J_+ J_- and of P_+ from
+    J_- J_+ at the validation levels, relative to sum_i |p_i| |J_0|^i.
     """
 
     s: np.ndarray
@@ -56,37 +56,22 @@ class SgaPolynomials:
     h_residual: np.ndarray
 
 
-def extraction_n_max(lam: int) -> int:
-    """The top level of build_sga's products and the truncation of verify's dense
-    matrices: every validation level n = k lam + mu, k <= 3 lam - 1, keeps
-    n + lam <= n_max, so a truncated J_- J_+ is exact there."""
-    return 3 * lam * lam + 2 * lam
-
-
 def build_sga(params: AlgebraParams) -> SgaPolynomials:
     """Per sector, f with [J_+, J_-] = f(J_0) (degree lambda-1), h with
     J_- J_+ + h(J_0) constant (degree lambda, h(0) = 0) and that constant,
-    the Casimir eigenvalue c_mu, all expanded from the roots of the two
-    products and validated (_fit) against the products themselves, formed from
-    the parameters on |0> ... |extraction_n_max(lambda)>, so the top levels
-    carry no truncation artifact.  Raises RuntimeError if the products
-    overflow double precision or a validation residual is not below 1e-8.
+    the Casimir eigenvalue c_mu, validated (_fit) against ladder_products up to
+    the top level it reads.  Raises RuntimeError if the products overflow
+    double precision or a validation residual is not below 1e-8.
     """
     lam = params.lam
-    n_max = extraction_n_max(lam)
-    overflow = f"SGA products overflow double precision at lambda = {lam}, n_max = {n_max}"
+    n_top = 3 * lam * lam + lam - 1  # J_- J_+ at the top validation level, 3 lambda^2 - 1
+    overflow = f"SGA products overflow double precision at lambda = {lam}, level {n_top}"
     # F(n + lambda) = F(n) + lambda, so the products grow with n and the top one,
-    # F(n_max + 1) ... F(n_max + lambda) / lambda^2, decides: test it in log space first
-    top = np.log(structure_function(params, np.arange(n_max + 1, n_max + lam + 1))).sum()
+    # F(n_top + 1 - lambda) ... F(n_top) / lambda^2, decides: test it in log space first
+    top = np.log(structure_function(params, np.arange(n_top + 1 - lam, n_top + 1))).sum()
     if top - 2.0 * np.log(lam) > _LOG_MAX:
         raise RuntimeError(overflow)
-    # prods[i] = F(i+1-lambda) ... F(i) / lambda^2 for i = 0 .. n_max + lambda, with F(0) = 0
-    # below level 1 ending the lowering: J_+ J_- at n is prods[n], J_- J_+ is prods[n + lambda]
-    f = structure_function(params, np.maximum(np.arange(1 - lam, n_max + lam + 1), 0))
-    prods = np.full(n_max + lam + 1, 1.0 / (lam * lam))
-    with np.errstate(over="ignore"):
-        for j in range(lam):
-            prods *= f[j:j + prods.size]
+    prods = ladder_products(params, n_top)
     if not np.all(np.isfinite(prods[-lam:])):  # backstop to the log-space test
         raise RuntimeError(overflow)
     ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]  # row mu: k lambda + mu
@@ -124,30 +109,25 @@ def _raise_first(resid: np.ndarray, message: str) -> None:
 
 
 def _fit(params: AlgebraParams, x: np.ndarray, low: np.ndarray, g: np.ndarray) -> SgaPolynomials:
-    """f, h and c from the roots, validated at the levels whose J_0, J_+ J_- and
-    J_- J_+ are row mu of x, low and g (sector mu): f against J_+ J_- - J_- J_+,
-    then constancy of J_- J_+ + h and of the second Casimir form J_+ J_- + h - f,
-    each to 1e-8 relative to the local magnitude.  A residual that is not below
-    1e-8 raises RuntimeError (implementation-bug signal), f's over all sectors
-    before h's.
+    """f, h and c from the root products P_- (J_+ J_-) and P_+ (J_- J_+), each
+    validated at the levels whose J_0, J_+ J_- and J_- J_+ are row mu of x, low
+    and g (sector mu), to 1e-8 relative to sum_i |p_i| |x|^i.  A residual that
+    is not below 1e-8 raises RuntimeError (implementation-bug signal), P_-'s
+    over all sectors before P_+'s.
     """
     lam = params.lam
-    t = -_root_polys(params, np.arange(1, lam + 1))  # J_- J_+ = c - h
-    s = (_root_polys(params, -np.arange(lam)) + t)[:, :lam]
+    p = np.concatenate([_root_polys(params, -np.arange(lam)), _root_polys(params, np.arange(1, lam + 1))])
+    t = -p[lam:]  # J_- J_+ = c - h
+    s = (p[:lam] + t)[:, :lam]
     c = -t[:, 0]
     t[:, 0] = 0.0
-    f_val = _horner(s, x)
-    comm = low - g
-    f_resid = np.max(np.abs(f_val - comm) / np.maximum(1.0, np.abs(comm)), axis=1)
-    _raise_first(f_resid, f"[J_+, J_-] is not a degree-{lam - 1} polynomial in J_0 on "
-                          "sector {mu} (validation residual {v:.3e})")
-    h_val = _horner(t, x)
-    second = low + h_val - f_val
-    dev = np.maximum(np.abs(g + h_val - c[:, None]), np.abs(second - c[:, None]))
-    h_resid = np.max(dev / np.maximum(1.0, np.abs(g)), axis=1)
-    _raise_first(h_resid, "J_- J_+ + h(J_0) is not constant on sector {mu} "
-                          "(worst deviation {v:.3e})")
-    return SgaPolynomials(s, t, c, f_resid, h_resid)
+    val, mag = np.split(_horner(np.concatenate([p, np.abs(p)]), np.concatenate([x, x, np.abs(x), np.abs(x)])), 2)
+    resid = np.max(np.abs(val - np.concatenate([low, g])) / mag, axis=1)
+    _raise_first(resid[:lam], f"[J_+, J_-] is not a degree-{lam - 1} polynomial in J_0 on "
+                              "sector {mu} (validation residual {v:.3e})")
+    _raise_first(resid[lam:], "J_- J_+ + h(J_0) is not constant on sector {mu} "
+                              "(worst deviation {v:.3e})")
+    return SgaPolynomials(s, t, c, resid[:lam], resid[lam:])
 
 
 def closed_forms(params: AlgebraParams):

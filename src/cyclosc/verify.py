@@ -12,11 +12,11 @@ CLI turns the list into a report and an exit code; a failed check is the line
 `FAIL [suite] name: <tag> dev=<value> bound=<bound>`.
 
 A patched algebra.structure_function reaches what looks it up in the algebra
-namespace: dense_operators, suite_commutators and algebra.build_fock_rep, so
-the moment kernel of stats and eigen_residual too; build_cs and sga bind it
-at import and do not see it.  Checks whose two routes both see the patch
-still agree; the commutators suite's comparisons with the unpatched alpha
-catch it.
+namespace: dense_operators, suite_commutators, algebra.build_fock_rep (so the
+moment kernel of stats) and algebra.ladder_products (so build_sga's products,
+eigen_residual and mittag_leffler_check); build_cs and build_sga's overflow
+pre-test bind it at import.  Checks whose two routes both see the patch still
+agree; the commutators suite's comparisons with the unpatched alpha catch it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
-from .sga import build_sga, extraction_n_max, closed_forms
+from .sga import build_sga, closed_forms
 from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
 from .stats import QuadratureMoments, _number_moments, _quadratures, _stencil, quadrature_stats, uncertainty_rhs
 from .measure import (
@@ -51,6 +51,7 @@ __all__ = [
     "dense_quadratures",
     "dense_quadrature_moments",
     "dense_number_moments",
+    "extraction_n_max",
     "mittag_leffler_check",
     "suite_commutators",
     "suite_sga",
@@ -113,6 +114,11 @@ def _tag(lam, alpha) -> str:
 # ---------------------------------------------------------------------------
 # dense reference route
 
+def extraction_n_max(lam: int) -> int:
+    """Dense truncation: n + lam < n_max at each sga validation level n, so J_- J_+ is exact."""
+    return 3 * lam * lam + 2 * lam
+
+
 DenseOperators = namedtuple("DenseOperators", "params n_max n_op a a_dag b b_dag projectors h0")
 
 
@@ -168,28 +174,23 @@ def mittag_leffler_check(cs: CoherentState) -> float:
 
         sqrt(mu! / E_{lambda,mu+1}(lambda^2 |z|^2)) * E_{lambda,mu+1}(lambda^2 z J_+) |mu>,
 
-    applying J_+ term by term to |mu>, and return the maximum absolute
-    coefficient deviation from cs."""
+    J_+^k |mu> the cumulative product of sqrt(J_- J_+) on the sector, each term in
+    log space; return the largest coefficient deviation from cs.  RuntimeError
+    where J_- J_+ overflows on the state's levels."""
     params, mu, z = cs.params, cs.mu, cs.z
     if not np.allclose(params.alpha, 0.0, atol=1e-14):
         raise ValueError("the Mittag-Leffler form requires alpha = 0")
     lam = params.lam
-    amp = algebra.build_fock_rep(params, cs.n_max)[0, 1:]
-
-    term = np.zeros(cs.n_max + 1, dtype=complex)
-    term[mu] = 1.0 / math.gamma(mu + 1)
-    total = term.copy()
-    for k in range(1, (cs.n_max - mu) // lam + 2):  # the last k lambda + mu passes n_max
-        # T_k = lambda^2 z * (J_+ T_{k-1}) * Gamma(lam(k-1)+mu+1)/Gamma(lam k+mu+1)
-        ratio = math.exp(math.lgamma(lam * (k - 1) + mu + 1) - math.lgamma(lam * k + mu + 1))
-        for _ in range(lam):  # a† term: level n takes sqrt(F(n)) term[n - 1]
-            term[1:] = amp * term[:-1]
-            term[0] = 0.0
-        term = (lam * z) * term * ratio
-        total += term
-        nrm = np.linalg.norm(term)
-        if nrm <= 1e-18 * np.linalg.norm(total) or nrm == 0.0:
-            break
+    total = np.zeros(cs.n_max + 1, dtype=complex)
+    total[mu] = 1.0 / math.gamma(mu + 1)
+    if z:  # z = 0 leaves |mu> alone
+        log_p = np.log(algebra.ladder_products(params, cs.n_max)[mu + lam::lam])
+        if not np.all(np.isfinite(log_p)):
+            raise RuntimeError(f"J_- J_+ overflows double precision at lambda = {lam}, level {cs.n_max} or below")
+        ks = np.arange(1, log_p.size + 1)
+        log_gamma = [math.lgamma(lam * k + mu + 1) for k in ks]
+        # term k: (lambda^2 z)^k J_+^k |mu> / Gamma(lambda k + mu + 1)
+        total[mu + lam::lam] = np.exp(ks * cmath.log(lam * lam * z) + 0.5 * np.cumsum(log_p) - log_gamma)
     e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
     rebuilt = total * math.sqrt(math.gamma(mu + 1) / e_val)
     return float(np.max(np.abs(rebuilt - cs.coeffs)))

@@ -9,7 +9,7 @@ from cyclosc.algebra import (
     random_admissible_alpha,
 )
 from cyclosc.coherent import build_cs
-from cyclosc.measure import moment_target, weight_photon
+from cyclosc.measure import moment_target, weight_lambda2, weight_photon
 from cyclosc.stats import _quadratures, _stencil, uncertainty_rhs
 from cyclosc.verify import dense_operators, dense_quadratures
 
@@ -63,6 +63,13 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(lambda p: validate_params(_INF, [0.0, 0.0]), "integer >= 2, got inf", id="validate_params-inf"),
     pytest.param(lambda p: validate_params(_NAN, [0.0, 0.0]), "integer >= 2, got nan", id="validate_params-nan"),
     pytest.param(lambda p: weight_photon(_INF, 0, 1.0), "integer >= 2, got inf", id="weight_photon-inf"),
+    pytest.param(lambda p: weight_photon(1.5, 0, 1.0), "integer >= 2, got 1.5", id="weight_photon-lambda-1.5"),
+    pytest.param(lambda p: weight_photon(2, 0.5, 1.0), r"mu must be in 0\.\.1, got 0\.5", id="weight_photon-mu-0.5"),
+    pytest.param(lambda p: weight_photon(2, 2, 1.0), r"mu must be in 0\.\.1, got 2", id="weight_photon-mu-2"),
+    pytest.param(lambda p: weight_photon(2, _NAN, 1.0), r"mu must be in 0\.\.1, got nan", id="weight_photon-mu-nan"),
+    pytest.param(lambda p: weight_lambda2(p, 0.5, 1.0), r"mu must be in 0\.\.1, got 0\.5", id="weight_lambda2-mu-0.5"),
+    pytest.param(lambda p: weight_lambda2(p, 2, 1.0), r"mu must be in 0\.\.1, got 2", id="weight_lambda2-mu-2"),
+    pytest.param(lambda p: weight_lambda2(p, _NAN, 1.0), r"mu must be in 0\.\.1, got nan", id="weight_lambda2-mu-nan"),
 ])
 def test_nonintegral_labels_are_bad_input(call, match):
     with pytest.raises(ValueError, match=match):

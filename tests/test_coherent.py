@@ -103,6 +103,23 @@ def test_eigen_residual_equivalent_form():
     assert abs(r1 - r2) < 1e-13
 
 
+def test_zero_label_state_is_exact_for_both_ladder_routes():
+    # both read the one J_+ J_- diagonal; at z = 0 neither may take log 0
+    for lam in (2, 3, 4, 150):
+        p = validate_params(lam, [0.0] * lam)
+        for mu in range(min(lam, 4)):
+            cs = build_cs(p, mu, 0)
+            assert eigen_residual(cs) == 0.0 and mittag_leffler_check(cs) == 0.0
+
+
+def test_ladder_product_overflow_is_named():
+    # J_+ J_- on level 2 lambda leaves the double range from lambda = 136 (alpha = 0, |z| = 1)
+    cs = build_cs(validate_params(150, [0.0] * 150), 0, 1.0)
+    for check in (eigen_residual, mittag_leffler_check):
+        with pytest.raises(RuntimeError, match="overflows double precision at lambda = 150"):
+            check(cs)
+
+
 def test_factorial_coefficients_undeformed():
     for lam in (2, 3, 4):
         p = validate_params(lam, [0.0] * lam)

@@ -63,6 +63,17 @@ def test_target_overflow_is_named(lam, k):
     assert math.isfinite(moment_target(p, 0, 2).target)
 
 
+def test_target_normalisation_overflow_is_named():
+    # pi lambda^(lambda-2) leaves the double range at lambda = 145, for every k
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"^pi lambda\^\(lambda-2\) overflows double precision "
+                                               r"at lambda = 145, mu = 0, k = 0$"):
+            moment_target(validate_params(145, [0.0] * 145), 0, 0)
+        target = moment_target(validate_params(144, [0.0] * 144), 0, 0).target
+    assert target == pytest.approx(1.0 / (math.pi * 144.0 ** 142), rel=1e-15) and 1e-307 < target < 1.1e-307
+
+
 def test_moment_rule_against_mpmath_targets():
     # The Bessel weight from the admissibility edge, where most of the
     # alpha0 = -0.999, mu = 0 mass lies below the first node (y = 1e-300),

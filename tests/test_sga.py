@@ -8,6 +8,7 @@ from cyclosc.algebra import (
     validate_params,
     energy,
     structure_function,
+    ladder_products,
     random_admissible_alpha,
 )
 from cyclosc.sga import (
@@ -30,12 +31,15 @@ def _sga(lam, alpha):
 
 def _validation_levels(lam, alpha):
     """J_0, J_+ J_- and J_- J_+ at the levels k lambda + mu (row mu, k <= 3 lambda - 1),
-    the products taken factor by factor from F (F = 0 from level 0 down)."""
+    the products taken factor by factor from F, lowest level first (F = 0 from
+    level 0 down): F(n+1-lambda) ... F(n) / lambda^2 and F(n+1) ... F(n+lambda) / lambda^2."""
     p = validate_params(lam, alpha)
     ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]
     f = lambda n: structure_function(p, np.maximum(n, 0))
-    low = np.prod([f(ns - j) for j in range(lam)], axis=0) / lam ** 2
-    high = np.prod([f(ns + j) for j in range(1, lam + 1)], axis=0) / lam ** 2
+    low = high = np.full(ns.shape, 1.0 / lam ** 2)
+    for j in range(1, lam + 1):
+        low = low * f(ns + j - lam)
+        high = high * f(ns + j)
     return p, energy(p, ns) / lam, low, high
 
 
@@ -160,14 +164,37 @@ def test_top_validated_level_is_checked_in_every_sector():
             _fit(p, x, low, high)
 
 
-def test_h_gate_catches_a_shift_that_leaves_f_intact():
-    # the same offset on J_+ J_- and J_- J_+ keeps their difference, so only h fails
+def test_equal_shift_of_both_products_is_caught_on_j_plus_j_minus():
+    # the same offset on J_+ J_- and J_- J_+ keeps their difference, [J_+, J_-];
+    # each product is compared with its own root form, J_+ J_-'s first
     p, x, low, high = _validation_levels(3, [-0.5, 0.25, 0.25])
     offset = 1e-5 * high[0, 2]  # sector 0, k = 2: level 6
     low[0, 2] += offset
     high[0, 2] += offset
-    with pytest.raises(RuntimeError, match=r"J_- J_\+ \+ h\(J_0\) is not constant on sector 0 "):
+    with pytest.raises(RuntimeError, match=r"\[J_\+, J_-\] is not a degree-2 polynomial in J_0 on sector 0 "):
         _fit(p, x, low, high)
+
+
+def test_ladder_products_are_the_factor_by_factor_diagonal():
+    rng = np.random.default_rng(3)
+    for lam in (2, 3, 5, 8):
+        p, x, low, high = _validation_levels(lam, random_admissible_alpha(lam, rng))
+        ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]
+        prods = ladder_products(p, 3 * lam * lam + lam - 1)
+        assert np.array_equal(prods[ns], low) and np.array_equal(prods[ns + lam], high)
+        assert np.all(prods[:lam] == 0.0) and np.all(prods[lam:] > 0.0)
+
+
+@pytest.mark.parametrize("lam, seed", [(34, 4), (65, 0), (73, 0)])
+def test_deformed_draws_validate_near_the_sector_floor(lam, seed):
+    # near the sector floor a product is far below its monomial terms, which set the error scale
+    p = validate_params(lam, random_admissible_alpha(lam, np.random.default_rng([lam, seed])))
+    poly = build_sga(p)
+    assert max(poly.f_residual.max(), poly.h_residual.max()) < 1e-13
+    low, high = _root_polys(p, -np.arange(lam)), _root_polys(p, np.arange(1, lam + 1))
+    assert np.array_equal(poly.s, (low - high)[:, :lam])
+    assert np.array_equal(poly.t[:, 1:], -high[:, 1:]) and np.all(poly.t[:, 0] == 0.0)
+    assert np.array_equal(poly.c, high[:, 0])
 
 
 def _loop_root_poly(p, mu, shifts):
