@@ -7,7 +7,7 @@ function F(n) = n + beta_{n mod lambda} with beta_mu the partial sums of
 alpha; a|n> = sqrt(F(n)) |n-1>.  This module validates parameters, builds the
 ladder amplitudes sqrt(F(n)) and sqrt(n) as the two rows of one array (stats
 shifts state vectors with them) and the one J_+ J_- diagonal, ladder_products,
-that sga, coherent and verify read J_+ J_-, J_- J_+ and J_- from.
+that sga and coherent read J_+ J_-, J_- J_+ and J_- from; it names its overflow.
 """
 
 from __future__ import annotations
@@ -120,14 +120,23 @@ def build_fock_rep(params: AlgebraParams, n_max: int) -> np.ndarray:
 
 def ladder_products(params: AlgebraParams, n_top: int) -> np.ndarray:
     """J_+ J_- on |0> ... |n_top>, F(n+1-lambda) ... F(n) / lambda^2 at n: 0 below
-    level lambda, where F(0) = 0 ends the lowering, and inf past the double range.
-    J_- J_+ on |n> is entry n + lambda; J_- takes |n> to sqrt(entry n) |n - lambda>."""
+    level lambda, where F(0) = 0 ends the lowering, and rising above it as F(n + lambda)
+    = F(n) + lambda: the top entry, tested in log space before the array is formed and
+    for finiteness after, decides the one RuntimeError naming an overflow.  J_- J_+ on
+    |n> is entry n + lambda; J_- takes |n> to sqrt(entry n) |n - lambda>."""
     lam = params.lam
+    overflow = f"J_+ J_- overflows double precision at lambda = {lam}, level {n_top}"
+    if n_top >= lam:  # below level lambda every entry is 0
+        log_top = np.log(structure_function(params, np.arange(n_top + 1 - lam, n_top + 1))).sum()
+        if log_top - 2.0 * np.log(lam) > _LOG_MAX:
+            raise RuntimeError(overflow)
     f = structure_function(params, np.maximum(np.arange(1 - lam, n_top + 1), 0))
     prods = np.full(n_top + 1, 1.0 / (lam * lam))
     with np.errstate(over="ignore"):
         for j in range(lam):
             prods *= f[j:j + prods.size]
+    if not np.isfinite(prods[-1]):  # backstop to the log-space test
+        raise RuntimeError(overflow)
     return prods
 
 

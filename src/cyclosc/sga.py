@@ -19,9 +19,9 @@ sector in one stacked row-wise Horner pass, to 1e-8 relative to the monomial
 form's own magnitude sum_i |p_i| |J_0|^i (Higham, Accuracy and Stability of
 Numerical Algorithms, 2nd ed., sec. 5.1), and returns their exact combinations
 f = P_- - P_+, h = P_+(0) - P_+ and c = P_+(0); closed_forms gives the lambda =
-2, 3 goldens.  The products overflow double precision from about lambda = 74
-(lambda <= 73 works at alpha = 0): build_sga tests the largest in log space,
-with its import-time structure_function, and raises RuntimeError first.
+2, 3 goldens.  The products overflow double precision from lambda = 74 at
+alpha = 0: ladder_products tests its top entry before it forms them and raises
+RuntimeError; build_sga has no overflow test of its own.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _LOG_MAX, AlgebraParams, energy, ladder_products, structure_function
+from .algebra import AlgebraParams, energy, ladder_products
 
 __all__ = ["SgaPolynomials", "build_sga", "closed_forms"]
 
@@ -60,20 +60,11 @@ def build_sga(params: AlgebraParams) -> SgaPolynomials:
     """Per sector, f with [J_+, J_-] = f(J_0) (degree lambda-1), h with
     J_- J_+ + h(J_0) constant (degree lambda, h(0) = 0) and that constant,
     the Casimir eigenvalue c_mu, validated (_fit) against ladder_products up to
-    the top level it reads.  Raises RuntimeError if the products overflow
-    double precision or a validation residual is not below 1e-8.
+    the top level it reads.  Raises RuntimeError where ladder_products
+    overflows double precision, or a validation residual is not below 1e-8.
     """
     lam = params.lam
-    n_top = 3 * lam * lam + lam - 1  # J_- J_+ at the top validation level, 3 lambda^2 - 1
-    overflow = f"SGA products overflow double precision at lambda = {lam}, level {n_top}"
-    # F(n + lambda) = F(n) + lambda, so the products grow with n and the top one,
-    # F(n_top + 1 - lambda) ... F(n_top) / lambda^2, decides: test it in log space first
-    top = np.log(structure_function(params, np.arange(n_top + 1 - lam, n_top + 1))).sum()
-    if top - 2.0 * np.log(lam) > _LOG_MAX:
-        raise RuntimeError(overflow)
-    prods = ladder_products(params, n_top)
-    if not np.all(np.isfinite(prods[-lam:])):  # backstop to the log-space test
-        raise RuntimeError(overflow)
+    prods = ladder_products(params, 3 * lam * lam + lam - 1)  # J_- J_+ at the top level, 3 lambda^2 - 1
     ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]  # row mu: k lambda + mu
     return _fit(params, energy(params, ns) / lam, prods[ns], prods[ns + lam])
 

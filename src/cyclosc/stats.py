@@ -87,13 +87,18 @@ _STENCIL = np.array([[1.0], [1j]]) * np.sqrt(0.5)
 _KINDS = ("dressed", "real")  # the rows of algebra.build_fock_rep's amplitude array
 
 
+def _kind_row(kind: str) -> int:
+    """The row of `kind` in _KINDS; ValueError for any other kind."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
+    return _KINDS.index(kind)
+
+
 def _stencil(ladder: np.ndarray, kind: str):
     """(up, down): the a† coefficients of x (row 0) and p (row 1) on levels
     1..n_max, _STENCIL times the `kind` row of the build_fock_rep array
     (sqrt(F(n)) for 'dressed', sqrt(n) for 'real'), and those of a."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be 'dressed' or 'real', got {kind!r}")
-    up = _STENCIL * ladder[_KINDS.index(kind), 1:]
+    up = _STENCIL * ladder[_kind_row(kind), 1:]
     return up, up.conj()
 
 

@@ -13,10 +13,10 @@ CLI turns the list into a report and an exit code; a failed check is the line
 
 A patched algebra.structure_function reaches what looks it up in the algebra
 namespace: dense_operators, suite_commutators, algebra.build_fock_rep (so the
-moment kernel of stats) and algebra.ladder_products (so build_sga's products,
-eigen_residual and mittag_leffler_check); build_cs and build_sga's overflow
-pre-test bind it at import.  Checks whose two routes both see the patch still
-agree; the commutators suite's comparisons with the unpatched alpha catch it.
+moment kernel of stats) and algebra.ladder_products (so its overflow test,
+build_sga and eigen_residual); build_cs binds it at import; mittag_leffler_check
+reads no F.  Checks whose two routes both see the patch still agree; the
+commutators suite's comparisons with the unpatched alpha catch it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import build_sga, closed_forms
 from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
-from .stats import QuadratureMoments, _number_moments, _quadratures, _stencil, quadrature_stats, uncertainty_rhs
+from .stats import QuadratureMoments, _kind_row, _number_moments, _quadratures, _stencil, quadrature_stats
+from .stats import uncertainty_rhs
 from .measure import (
     moment_target,
     weight_lambda2,
@@ -144,8 +145,8 @@ def dense_operators(params, n_max: int) -> DenseOperators:
 
 
 def dense_quadratures(ops: DenseOperators, kind="dressed"):
-    """The matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real')."""
-    lo, hi = (ops.a, ops.a_dag) if kind == "dressed" else (ops.b, ops.b_dag)
+    """The matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real'; no other kind)."""
+    lo, hi = ((ops.a, ops.a_dag), (ops.b, ops.b_dag))[_kind_row(kind)]
     return (hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)
 
 
@@ -170,29 +171,26 @@ def dense_number_moments(ops: DenseOperators, coeffs):
 
 
 def mittag_leffler_check(cs: CoherentState) -> float:
-    """For the undeformed case (alpha = 0) rebuild the state as
+    """For the undeformed case (alpha = 0) rebuild the state from its
+    Mittag-Leffler form, with coefficient
 
-        sqrt(mu! / E_{lambda,mu+1}(lambda^2 |z|^2)) * E_{lambda,mu+1}(lambda^2 z J_+) |mu>,
+        (lambda z)^k / sqrt(Gamma(lambda k + mu + 1) E_{lambda,mu+1}(lambda^2 |z|^2))
 
-    J_+^k |mu> the cumulative product of sqrt(J_- J_+) on the sector, each term in
-    log space; return the largest coefficient deviation from cs.  RuntimeError
-    where J_- J_+ overflows on the state's levels."""
+    on |k lambda + mu>, each in log space from lgamma; return the largest coefficient
+    deviation from cs.  RuntimeError where E is not a positive normal double."""
     params, mu, z = cs.params, cs.mu, cs.z
     if not np.allclose(params.alpha, 0.0, atol=1e-14):
         raise ValueError("the Mittag-Leffler form requires alpha = 0")
     lam = params.lam
-    total = np.zeros(cs.n_max + 1, dtype=complex)
-    total[mu] = 1.0 / math.gamma(mu + 1)
-    if z:  # z = 0 leaves |mu> alone
-        log_p = np.log(algebra.ladder_products(params, cs.n_max)[mu + lam::lam])
-        if not np.all(np.isfinite(log_p)):
-            raise RuntimeError(f"J_- J_+ overflows double precision at lambda = {lam}, level {cs.n_max} or below")
-        ks = np.arange(1, log_p.size + 1)
-        log_gamma = [math.lgamma(lam * k + mu + 1) for k in ks]
-        # term k: (lambda^2 z)^k J_+^k |mu> / Gamma(lambda k + mu + 1)
-        total[mu + lam::lam] = np.exp(ks * cmath.log(lam * lam * z) + 0.5 * np.cumsum(log_p) - log_gamma)
-    e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
-    rebuilt = total * math.sqrt(math.gamma(mu + 1) / e_val)
+    rebuilt = np.zeros(cs.n_max + 1, dtype=complex)
+    rebuilt[mu] = 1.0  # z = 0 gives |mu>
+    if z:
+        e_val = mittag_leffler(lam, mu + 1, (lam * abs(z)) ** 2)
+        if not _TINY <= e_val < math.inf:
+            raise RuntimeError(f"E_{lam},{mu + 1}(lambda^2 |z|^2) = {e_val:.3g} is not a normal double")
+        ks = np.arange((cs.n_max - mu) // lam + 1)
+        log_gamma = np.array([math.lgamma(lam * k + mu + 1) for k in ks])
+        rebuilt[mu::lam] = np.exp(ks * cmath.log(lam * z) - 0.5 * (log_gamma + math.log(e_val)))
     return float(np.max(np.abs(rebuilt - cs.coeffs)))
 
 
@@ -308,16 +306,13 @@ def suite_sga(seed: int = 12345):
                 np.max(np.abs(got - want)) for got, want in zip((poly.s, poly.t, poly.c), cf)
             ], 1e-9))
 
-        if np.allclose(params.alpha, 0.0):
-            jb_p = np.linalg.matrix_power(fock.b_dag, lam) / lam
-            jb_m = np.linalg.matrix_power(fock.b, lam) / lam
-            cb = np.diag(jb_p @ jb_m - jb_m @ jb_p)
-            # levels k lam + mu, k < 2 lam, that J_+ does not push past n_max
-            add(_check("undeformed-generator-consistency", tag, [
-                abs(cb[n] - np.polynomial.polynomial.polyval(energy(params, n) / lam, poly.s[n % lam]))
-                / np.maximum(1.0, abs(cb[n]))
-                for n in range(min(2 * lam * lam, n_max - lam + 1))
-            ], 1e-9))
+        # diag [J_+, J_-] against f(J_0) on the levels k lam + mu, k < 2 lam, clear of n_max
+        comm = np.diag(j_plus @ j_minus - j_minus @ j_plus)
+        add(_check("generator-consistency", tag, [
+            np.abs(comm[n] - np.polynomial.polynomial.polyval(energy(params, n) / lam, poly.s[mu]))
+            / np.maximum(1.0, np.abs(comm[n]))
+            for mu, n in enumerate(np.arange(2 * lam) * lam + np.arange(lam)[:, None])
+        ], 1e-9))
     return results
 
 

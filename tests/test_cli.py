@@ -223,7 +223,7 @@ def test_verify_single_suite(tmp_path, capsys):
     assert code == 0
     text = out_file.read_text()
     # the built-in sets plus 20 random draws; the count does not depend on the seed
-    assert "suite sga: 165/165 checks passed" in text
+    assert "suite sga: 190/190 checks passed" in text
     assert "FAIL" not in text
 
 

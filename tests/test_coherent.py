@@ -113,11 +113,23 @@ def test_zero_label_state_is_exact_for_both_ladder_routes():
 
 
 def test_ladder_product_overflow_is_named():
-    # J_+ J_- on level 2 lambda leaves the double range from lambda = 136 (alpha = 0, |z| = 1)
+    # J_+ J_- on level 2 lambda leaves the double range from lambda = 136 (alpha = 0, |z| = 1);
+    # the Mittag-Leffler rebuild reads no J_+ J_- and still checks the state
     cs = build_cs(validate_params(150, [0.0] * 150), 0, 1.0)
-    for check in (eigen_residual, mittag_leffler_check):
-        with pytest.raises(RuntimeError, match="overflows double precision at lambda = 150"):
-            check(cs)
+    with pytest.raises(RuntimeError, match=r"^J_\+ J_- overflows double precision at lambda = 150, level 300$"):
+        eigen_residual(cs)
+    assert mittag_leffler_check(cs) <= 1e-12
+
+
+def test_mittag_leffler_check_at_large_sector_labels():
+    # z = 0 is |mu> exactly, however large Gamma(mu + 1) is
+    assert mittag_leffler_check(build_cs(validate_params(150, [0.0] * 150), 149, 0)) == 0.0
+    p = validate_params(180, [0.0] * 180)
+    for mu in range(168, 180):
+        assert mittag_leffler_check(build_cs(p, mu, 0)) == 0.0
+    # E_{180,176}(8100) ~ 1/175! = 8.9e-319 is subnormal: named, not a false deviation
+    with pytest.raises(RuntimeError, match=r"^E_180,176\(lambda\^2 \|z\|\^2\) = 8\.89e-319 is not a normal double$"):
+        mittag_leffler_check(build_cs(p, 175, 0.5))
 
 
 def test_factorial_coefficients_undeformed():

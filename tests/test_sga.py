@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -177,12 +178,24 @@ def test_equal_shift_of_both_products_is_caught_on_j_plus_j_minus():
 
 def test_ladder_products_are_the_factor_by_factor_diagonal():
     rng = np.random.default_rng(3)
-    for lam in (2, 3, 5, 8):
+    for lam in range(2, 9):
         p, x, low, high = _validation_levels(lam, random_admissible_alpha(lam, rng))
         ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]
         prods = ladder_products(p, 3 * lam * lam + lam - 1)
         assert np.array_equal(prods[ns], low) and np.array_equal(prods[ns + lam], high)
-        assert np.all(prods[:lam] == 0.0) and np.all(prods[lam:] > 0.0)
+        # entry n+1 / entry n = F(n+1) / F(n+1-lambda) > 1: the top entry alone decides overflow
+        assert np.all(prods[:lam] == 0.0) and prods[lam] > 0.0 and np.all(np.diff(prods[lam:]) > 0.0)
+
+
+def test_ladder_products_overflow_is_named_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match=r"^J_\+ J_- overflows double precision at lambda = 1000, level 3000999$"):
+            ladder_products(validate_params(1000, [0.0] * 1000), 3000999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("lam, seed", [(34, 4), (65, 0), (73, 0)])

@@ -15,7 +15,7 @@ from cyclosc.stats import (
     squeeze_ratios,
     stats_report,
 )
-from cyclosc.verify import dense_operators, dense_quadrature_moments, dense_number_moments
+from cyclosc.verify import dense_operators, dense_quadratures, dense_quadrature_moments, dense_number_moments
 
 
 def _state(lam, alpha, mu, z):
@@ -275,6 +275,17 @@ def test_kind_validation():
         for kind in ("bare", "bogus"):
             with pytest.raises(ValueError, match=f"got '{kind}'"):
                 stat(cs, kind)
+
+
+def test_dense_reference_kind_validation():
+    # the dense reference helpers reject what stats rejects, with its message
+    p, cs = _state(2, [0.0, 0.0], 0, 1.0)
+    dense = dense_operators(p, cs.n_max)
+    message = r"^kind must be 'dressed' or 'real', got 'Dressed'$"
+    with pytest.raises(ValueError, match=message):
+        dense_quadratures(dense, "Dressed")
+    with pytest.raises(ValueError, match=message):
+        dense_quadrature_moments(dense, cs.coeffs, "Dressed")
 
 
 def test_moment_overflow_is_named_not_nan():
