@@ -12,6 +12,7 @@ starting with "error:" on stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import sys
@@ -56,11 +57,19 @@ def _parse_alpha(lam: int, text) -> list:
     return vals
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_complex(text: str, option: str) -> complex:
     try:
-        return complex(str(text).replace(" ", ""))
+        z = complex(str(text).replace(" ", ""))
     except ValueError:
         raise ValueError(f"invalid complex number {text!r}") from None
+    return _finite(z, option)
+
+
+def _finite(value, option: str):
+    """value, else a ValueError that names the option it came from."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{option} must be finite, got {value}")
+    return value
 
 
 def _write_out(text: str, out) -> None:
@@ -84,14 +93,16 @@ def cmd_sweep(args) -> int:
     if z_given:
         if args.z_from is None or args.z_to is None:
             raise ValueError("both --z-from and --z-to are required")
-        z0 = _parse_complex(args.z_from)
-        z1 = _parse_complex(args.z_to)
+        z0 = _parse_complex(args.z_from, "--z-from")
+        z1 = _parse_complex(args.z_to, "--z-to")
         if z0 == z1:
             raise ValueError("sweep endpoints must differ")
         points = [complex(z0 + (z1 - z0) * t) for t in ts]
     else:
         if args.r_from is None or args.r_to is None:
             raise ValueError("both --r-from and --r-to are required")
+        for value, option in ((args.r_from, "--r-from"), (args.r_to, "--r-to"), (args.phase, "--phase")):
+            _finite(value, option)
         if args.r_from < 0 or args.r_to < 0:
             raise ValueError("radii must be nonnegative")
         if args.r_from == args.r_to:
@@ -179,6 +190,8 @@ def cmd_sga(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     ok, lines = run_suites(names, seed=args.seed)
     _write_out("\n".join(lines) + "\n", args.out)

@@ -31,7 +31,10 @@ def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     if x == 0:
-        return 1.0 / math.gamma(beta)
+        try:
+            return 1.0 / math.gamma(beta)
+        except OverflowError:  # Gamma(beta) leaves the double range above beta = 171.62
+            return math.exp(-math.lgamma(beta))
     lnax = math.log(abs(x))
     sign = 1.0 if x > 0 else -1.0
 

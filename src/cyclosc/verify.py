@@ -5,6 +5,11 @@ matrices, their lambda-th powers and quadratic forms (production forms none),
 the coherent-state norm summed term by term, and the alpha = 0 state rebuilt
 from its Mittag-Leffler form.
 
+On a shorter truncation a, a†, b, b†, N, P_mu, x and p are leading blocks of
+the longer ones (h0 is not: its a a† half has the truncation artifact in its last
+row), so suite_cs builds one DenseOperators per parameter set and the dense
+helpers read the block the size of their vector, applying powers as matrix-vector chains.
+
 Every check is a CheckResult: a measured deviation `value` against a fixed
 `bound`, passing when value <= bound, so a NaN deviation fails.  A check that
 covers several deviations reduces them with np.max, which keeps a NaN.  The
@@ -35,31 +40,14 @@ from .sga import build_sga, closed_forms
 from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
 from .stats import QuadratureMoments, _kind_row, _number_moments, _quadratures, _stencil, quadrature_stats
 from .stats import uncertainty_rhs
-from .measure import (
-    moment_target,
-    weight_lambda2,
-    weight_photon,
-    moment_check,
-    unity_reconstruction,
-    angular_offdiagonal,
-)
+from .measure import moment_target, weight_lambda2, weight_photon, moment_check
+from .measure import unity_reconstruction, angular_offdiagonal
 from .specfun import mittag_leffler
 
 __all__ = [
-    "CheckResult",
-    "DenseOperators",
-    "dense_operators",
-    "dense_quadratures",
-    "dense_quadrature_moments",
-    "dense_number_moments",
-    "extraction_n_max",
-    "mittag_leffler_check",
-    "suite_commutators",
-    "suite_sga",
-    "suite_cs",
-    "suite_measure",
-    "run_suites",
-    "SUITES",
+    "CheckResult", "DenseOperators", "dense_operators", "dense_quadratures", "dense_quadrature_moments",
+    "dense_number_moments", "extraction_n_max", "mittag_leffler_check",
+    "suite_commutators", "suite_sga", "suite_cs", "suite_measure", "run_suites", "SUITES",
 ]
 
 _BUILTIN = {
@@ -124,22 +112,19 @@ DenseOperators = namedtuple("DenseOperators", "params n_max n_op a a_dag b b_dag
 
 
 def dense_operators(params, n_max: int) -> DenseOperators:
-    """Every operator matrix on |0> ... |n_max>, one F(n) at a time: the
-    deformed (a) and canonical (b) ladder pairs, N, the P_mu and h0 = (a a† +
-    a† a)/2.  Products with a a† are truncation artifacts in the last row."""
+    """Every operator matrix on |0> ... |n_max>: the deformed (a) and canonical (b)
+    ladder pairs, their superdiagonals from one structure_function call, N, the P_mu
+    from one residue mask and h0 = (a a† + a† a)/2.  Products with a a† are
+    truncation artifacts in the last row, so on a shorter truncation every matrix
+    but h0 is the leading block of this one."""
     dim = n_max + 1
-    a = np.zeros((dim, dim))
-    b = np.zeros((dim, dim))
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(algebra.structure_function(params, n))
-        b[n - 1, n] = math.sqrt(n)
-    a_dag = a.T.copy()
-    b_dag = b.T.copy()
+    levels = np.arange(1, dim)
+    a = np.diag(np.sqrt(algebra.structure_function(params, levels)), 1)
+    b = np.diag(np.sqrt(levels), 1)
+    a_dag, b_dag = a.T.copy(), b.T.copy()
     n_op = np.diag(np.arange(dim, dtype=float))
-    projectors = tuple(
-        np.diag((np.arange(dim) % params.lam == mu).astype(float))
-        for mu in range(params.lam)
-    )
+    mask = np.arange(dim) % params.lam == np.arange(params.lam)[:, None]
+    projectors = tuple(np.diag(row.astype(float)) for row in mask)
     h0 = 0.5 * (a @ a_dag + a_dag @ a)
     return DenseOperators(params, n_max, n_op, a, a_dag, b, b_dag, projectors, h0)
 
@@ -152,22 +137,33 @@ def dense_quadratures(ops: DenseOperators, kind="dressed"):
 
 def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed") -> QuadratureMoments:
     """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
-    for the dense_quadratures matrices x and p."""
+    for the dense_quadratures matrices x and p, on the leading block the size of v:
+    c^2 v = c(c v) and c^4 v = c(c(c^2 v))."""
     v = np.asarray(coeffs, dtype=complex)
     out = []
     for op in dense_quadratures(ops, kind):
+        op = op[:v.size, :v.size]
         mean = float(np.real(np.vdot(v, op @ v)))
-        c2 = np.linalg.matrix_power(op - mean * np.eye(v.size), 2)
-        out.append((mean, float(np.real(np.vdot(v, c2 @ v))), float(np.real(np.vdot(v, c2 @ c2 @ v)))))
+        c = op - mean * np.eye(v.size)
+        c2v = c @ (c @ v)
+        out.append((mean, float(np.real(np.vdot(v, c2v))), float(np.real(np.vdot(v, c @ (c @ c2v))))))
     (mx, vx, x4), (mp, vp, p4) = out
     return QuadratureMoments(mx, mp, vx, vp, x4, p4)
 
 
 def dense_number_moments(ops: DenseOperators, coeffs):
-    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the canonical ladder matrices."""
+    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the leading b, b† blocks the size of v."""
     v = np.asarray(coeffs, dtype=complex)
-    w = ops.b_dag @ (ops.b @ v)
+    w = ops.b_dag[:v.size, :v.size] @ (ops.b[:v.size, :v.size] @ v)
     return float(np.real(np.vdot(v, w))), float(np.real(np.vdot(w, w)))
+
+
+def _dense_lowered(ops: DenseOperators, coeffs):
+    """a^lambda v as lambda matrix-vector products on the leading block the size of v."""
+    w, a = coeffs, ops.a[:len(coeffs), :len(coeffs)]
+    for _ in range(ops.params.lam):
+        w = a @ w
+    return w
 
 
 def mittag_leffler_check(cs: CoherentState) -> float:
@@ -239,17 +235,17 @@ def suite_commutators(seed: int = 12345):
         ], 1e-12))
 
         # F(n) > 0 for n >= 1, stated as -F <= -tiny so that F = 0 fails
-        fs = np.array([algebra.structure_function(params, n) for n in range(1, dim)])
+        levels = np.arange(1, dim)
+        fs = algebra.structure_function(params, levels)
         add(_check("structure-positivity", tag, -fs, -_TINY))
 
-        add(_check("dressed-ladder-relation", tag, [
-            abs(fock.a[n - 1, n] - fock.b[n - 1, n] * math.sqrt(fs[n - 1] / n)) for n in range(1, dim)
-        ], 1e-13))
+        add(_check("dressed-ladder-relation", tag,
+                   np.abs(np.diag(fock.a, 1) - np.diag(fock.b, 1) * np.sqrt(fs / levels)), 1e-13))
 
-        # x ** 2 goes through pow(), which can land one ulp away from the
-        # product x * x that the matmul forms: allow a few ulp
+        # the exact diagonal squares the superdiagonal as x * x, the one nonzero product
+        # the matmul sums per entry; the bound leaves a few ulp for the BLAS
         diag = np.diag(fock.a_dag @ fock.a)
-        exact = np.array([fock.a[n - 1, n] ** 2 if n else 0.0 for n in range(dim)])
+        exact = np.concatenate([[0.0], np.diag(fock.a, 1) ** 2])
         add(_check("number-diagonal", tag, np.abs(diag - exact) / np.maximum(np.abs(exact), _TINY),
                    4.0 * np.finfo(float).eps))
 
@@ -359,55 +355,54 @@ def suite_cs(seed: int = 12345):
         tag = _tag(lam, alpha)
         builtin = idx < sum(len(v) for l, v in _BUILTIN.items() if l in (2, 3, 4))
         mus = range(lam) if builtin else [int(rng.integers(0, lam))]
-        zs = [0.5 + 0j, 2 + 1j, -3 + 0j] if builtin else [
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        ]
-        for mu in mus:
-            for z in zs:
-                cs = build_cs(params, mu, z)
-                dense = dense_operators(params, cs.n_max)
-                ztag = f"{tag} mu={mu} z={z}"
+        zs = [0.5 + 0j, 2 + 1j, -3 + 0j] if builtin else [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+        states = [build_cs(params, mu, z) for mu in mus for z in zs]
+        # one dense reference per set: each state reads the leading block of its truncation
+        dense = dense_operators(params, max(cs.n_max for cs in states))
+        for cs in states:
+            mu, z = cs.mu, cs.z
+            ztag = f"{tag} mu={mu} z={z}"
 
-                res = eigen_residual(cs)
-                add(_check("cs-eigen-residual", ztag, res, 1e-10))
+            res = eigen_residual(cs)
+            add(_check("cs-eigen-residual", ztag, res, 1e-10))
 
-                w = np.linalg.matrix_power(dense.a, lam) @ cs.coeffs - lam * z * cs.coeffs
-                w[cs.n_max - lam + 1:] = 0.0
-                res2 = float(np.linalg.norm(w) / lam / max(abs(z), 1.0))
-                add(_check("cs-eigen-equivalent-form", ztag, abs(res2 - res), 1e-12))
+            w = _dense_lowered(dense, cs.coeffs) - lam * z * cs.coeffs
+            w[cs.n_max - lam + 1:] = 0.0
+            res2 = float(np.linalg.norm(w) / lam / max(abs(z), 1.0))
+            add(_check("cs-eigen-equivalent-form", ztag, abs(res2 - res), 1e-12))
 
-                add(_check("cs-unit-norm", ztag, abs(float(np.linalg.norm(cs.coeffs)) - 1.0),
-                           1e-12 + cs.tail_bound))
-                add(_check("cs-norm-crosscheck", ztag,
-                           abs(_brute_norm(params, mu, z) - cs.norm_factor) / cs.norm_factor, 1e-11))
+            add(_check("cs-unit-norm", ztag, abs(float(np.linalg.norm(cs.coeffs)) - 1.0),
+                       1e-12 + cs.tail_bound))
+            add(_check("cs-norm-crosscheck", ztag,
+                       abs(_brute_norm(params, mu, z) - cs.norm_factor) / cs.norm_factor, 1e-11))
 
-                # the |mu> coefficient is real and positive (else inf), and
-                # coefficient k carries the phase k arg z
-                k_probe = min(3, (cs.n_max - mu) // lam)
-                got = cmath.phase(cs.coeffs[k_probe * lam + mu])
-                head = cs.coeffs[mu]
-                dev = abs(cmath.exp(1j * (got - cmath.phase(z) * k_probe)) - 1.0)
-                add(_check("cs-phase-convention", ztag,
-                           dev if head.imag == 0.0 and head.real > 0 else math.inf, 1e-10))
+            # the |mu> coefficient is real and positive (else inf), and
+            # coefficient k carries the phase k arg z
+            k_probe = min(3, (cs.n_max - mu) // lam)
+            got = cmath.phase(cs.coeffs[k_probe * lam + mu])
+            head = cs.coeffs[mu]
+            dev = abs(cmath.exp(1j * (got - cmath.phase(z) * k_probe)) - 1.0)
+            add(_check("cs-phase-convention", ztag,
+                       dev if head.imag == 0.0 and head.real > 0 else math.inf, 1e-10))
 
-                mm = quadrature_stats(cs, "dressed")
-                ss = dense_quadrature_moments(dense, cs.coeffs, "dressed")
-                mean_n, var_n = _number_moments(cs)
-                sn, sn2 = dense_number_moments(dense, cs.coeffs)
-                add(_check("dual-route-expectations", ztag, [
-                    *(abs(got - want) for got, want in zip(vars(mm).values(), vars(ss).values())),
-                    abs(mean_n - sn), abs(var_n - (sn2 - sn * sn)),
-                ], 1e-11))
+            mm = quadrature_stats(cs, "dressed")
+            ss = dense_quadrature_moments(dense, cs.coeffs, "dressed")
+            mean_n, var_n = _number_moments(cs)
+            sn, sn2 = dense_number_moments(dense, cs.coeffs)
+            add(_check("dual-route-expectations", ztag, [
+                *(abs(got - want) for got, want in zip(vars(mm).values(), vars(ss).values())),
+                abs(mean_n - sn), abs(var_n - (sn2 - sn * sn)),
+            ], 1e-11))
 
-                add(_check("uncertainty-product", ztag,
-                           uncertainty_rhs(params, mu) - mm.var_x * mm.var_p, 1e-10))
+            add(_check("uncertainty-product", ztag,
+                       uncertainty_rhs(params, mu) - mm.var_x * mm.var_p, 1e-10))
 
-                if lam == 2:
-                    ref = _bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
-                    add(_check("cs-bessel-normalization", ztag, abs(ref - cs.norm_factor) / cs.norm_factor, 1e-10))
+            if lam == 2:
+                ref = _bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
+                add(_check("cs-bessel-normalization", ztag, abs(ref - cs.norm_factor) / cs.norm_factor, 1e-10))
 
-                if np.allclose(params.alpha, 0.0):
-                    add(_check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
+            if np.allclose(params.alpha, 0.0):
+                add(_check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
 
         # per-parameter (z-independent) checks
         cs0, cs1 = stack_coeffs([build_cs(params, 0, 0.8 + 0.3j), build_cs(params, 1, 0.8 + 0.3j)])

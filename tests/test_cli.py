@@ -64,6 +64,33 @@ def test_sweep_nonfinite_input_is_bad_input(capsys):
         assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("line, option", [
+    (["--r-from", "0", "--r-to", "inf"], "--r-to"),
+    (["--r-from", "nan", "--r-to", "1"], "--r-from"),
+    (["--r-from", "0", "--r-to", "nan"], "--r-to"),
+    (["--r-from", "0", "--r-to", "1", "--phase", "inf"], "--phase"),
+    (["--r-from", "0", "--r-to", "1", "--phase", "nan"], "--phase"),
+    (["--z-from", "0", "--z-to=inf"], "--z-to"),
+    (["--z-from", "0", "--z-to", "nan"], "--z-to"),
+    (["--z-from=-inf", "--z-to", "1"], "--z-from"),
+], ids=["r-to-inf", "r-from-nan", "r-to-nan", "phase-inf", "phase-nan", "z-to-inf", "z-to-nan", "z-from-inf"])
+def test_sweep_nonfinite_line_names_the_option(capsys, line, option):
+    # checked before any point is formed: one error line, no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--lambda", "2", "--quantity", "X", *line)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} must be finite")
+
+
+def test_verify_negative_seed_names_the_option(capsys):
+    code, out, err = run(capsys, "verify", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_sweep_ratio_aliases_are_bad_input(capsys):
     # the squeezing ratios have one name each: X, P, Y, Q4
     for name in ("x4-ratio", "p4-ratio"):

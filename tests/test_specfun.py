@@ -73,6 +73,14 @@ def test_mittag_leffler_zero_argument():
         assert mittag_leffler(3.0, beta, 0.0) == 1.0 / math.gamma(beta)
 
 
+def test_mittag_leffler_zero_argument_past_gamma_overflow():
+    # Gamma(176) is past the double range, while 1/Gamma(176) is a subnormal:
+    # x = 0 returns it, as the series' first term does at any other x
+    got = mittag_leffler(180.0, 176.0, 0.0)
+    assert 0.0 < got < sys.float_info.min
+    assert got == math.exp(-math.lgamma(176.0)) == mittag_leffler(180.0, 176.0, 1e-300)
+
+
 def test_mittag_leffler_negative_argument():
     assert math.isclose(mittag_leffler(1.0, 1.0, -3.0), math.exp(-3.0), rel_tol=1e-10)
 

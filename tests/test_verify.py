@@ -3,9 +3,13 @@ import math
 import re
 
 import numpy as np
+import pytest
 
 from cyclosc import algebra, verify
+from cyclosc.algebra import random_admissible_alpha, validate_params
+from cyclosc.coherent import build_cs
 from cyclosc.verify import CheckResult, SUITES, run_suites, suite_commutators, suite_cs
+from cyclosc.verify import dense_number_moments, dense_operators, dense_quadrature_moments, dense_quadratures
 
 
 def test_every_check_reports_a_finite_value_and_bound():
@@ -52,3 +56,73 @@ def test_zero_structure_function_fails_positivity(monkeypatch):
     assert sum("] structure-positivity: lam=" in line for line in fails) == len(found)
     for line in fails:
         assert re.fullmatch(r"FAIL \[commutators\] [a-z0-9-]+: lam=\d .* dev=\S+ bound=\S+", line), line
+
+
+def _param_draws(lam):
+    # alpha = 0 and one seeded admissible draw
+    return [validate_params(lam, [0.0] * lam),
+            validate_params(lam, random_admissible_alpha(lam, np.random.default_rng([lam, 21])))]
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_shorter_truncation_is_the_leading_block_except_h0(lam):
+    # what lets suite_cs share one DenseOperators per parameter set
+    for p in _param_draws(lam):
+        m, big = 4 * lam + 3, 9 * lam + 2
+        short, long_ = dense_operators(p, m), dense_operators(p, big)
+        block = (slice(0, m + 1),) * 2
+        for name in ("n_op", "a", "a_dag", "b", "b_dag"):
+            assert np.array_equal(getattr(long_, name)[block], getattr(short, name)), name
+        for got, want in zip(long_.projectors, short.projectors):
+            assert np.array_equal(got[block], want)
+        for kind in ("dressed", "real"):
+            for got, want in zip(dense_quadratures(long_, kind), dense_quadratures(short, kind)):
+                assert np.array_equal(got[block], want)
+        # h0 is not: the a a† half of the short build misses F(m + 1) in its last entry
+        differs = long_.h0[block] != short.h0
+        assert differs[m, m] and np.count_nonzero(differs) == 1
+        assert long_.h0[m, m] - short.h0[m, m] == pytest.approx(0.5 * algebra.structure_function(p, m + 1))
+
+
+def _dense_operators_per_level(params, n_max):
+    # dense_operators as a loop over levels, one F(n) at a time
+    dim = n_max + 1
+    a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for n in range(1, dim):
+        a[n - 1, n] = math.sqrt(algebra.structure_function(params, n))
+        b[n - 1, n] = math.sqrt(n)
+    projectors = [np.diag((np.arange(dim) % params.lam == mu).astype(float)) for mu in range(params.lam)]
+    return (np.diag(np.arange(dim, dtype=float)), a, a.T.copy(), b, b.T.copy(), projectors,
+            0.5 * (a @ a.T + a.T @ a))
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_dense_operators_equal_the_per_level_loop(lam):
+    for p in _param_draws(lam):
+        for n_max in (lam, 3 * lam * lam + 2 * lam):
+            ops = dense_operators(p, n_max)
+            got = (ops.n_op, ops.a, ops.a_dag, ops.b, ops.b_dag, ops.projectors, ops.h0)
+            for g, w in zip(got, _dense_operators_per_level(p, n_max)):
+                assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_shared_reference_matches_per_state_reference(lam):
+    # the dense helpers read the leading block the size of their vector: one
+    # build past every state's truncation gives what each state's own build gives
+    for p in _param_draws(lam):
+        states = [build_cs(p, mu, z) for mu in range(lam) for z in (0.5, 2 + 1j, -3.0)]
+        shared = dense_operators(p, max(cs.n_max for cs in states) + 5)
+        for cs in states:
+            own = dense_operators(p, cs.n_max)
+            pairs = [(vars(dense_quadrature_moments(ops, cs.coeffs, kind)).values() for ops in (shared, own))
+                     for kind in ("dressed", "real")]
+            pairs.append([dense_number_moments(ops, cs.coeffs) for ops in (shared, own)])
+            for got, want in pairs:
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-15 * abs(w)
+            lowered = np.linalg.matrix_power(own.a, lam) @ cs.coeffs
+            for ops in (shared, own):
+                got = verify._dense_lowered(ops, cs.coeffs)
+                assert got.shape == cs.coeffs.shape
+                assert np.max(np.abs(got - lowered)) <= 1e-15 * np.max(np.abs(lowered))
