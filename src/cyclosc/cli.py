@@ -21,13 +21,16 @@ import numpy as np
 
 from .algebra import _check_mu, validate_params, energy
 from .sga import build_sga, closed_forms
-from .coherent import build_cs
+# build_cs rebuilds a failing block point by point; bench/test_bench.py also
+# reads it here, as the binding its tracer wraps in every module
+from .coherent import TruncationError, build_cs, build_states
 from .stats import mandel_q, quadrature_stats, squeeze_ratios, uncertainty_rhs
 from .verify import run_suites, SUITES
 
 __all__ = ["main", "run"]
 
 _RATIO_INDEX = {"X": 0, "P": 1, "Y": 2, "Q4": 3}
+_SWEEP_BLOCK = 64  # sweep points built in one build_states call, so memory stays bounded
 _QUANTITIES = ("mandel-q", "var-x", "var-p") + tuple(_RATIO_INDEX)
 
 
@@ -97,6 +100,8 @@ def cmd_sweep(args) -> int:
         z1 = _parse_complex(args.z_to, "--z-to")
         if z0 == z1:
             raise ValueError("sweep endpoints must differ")
+        # z0 + inf * 0 would make the first point NaN
+        _finite(z1 - z0, "the span from --z-from to --z-to")
         points = [complex(z0 + (z1 - z0) * t) for t in ts]
     else:
         if args.r_from is None or args.r_to is None:
@@ -111,20 +116,26 @@ def cmd_sweep(args) -> int:
         points = [complex((args.r_from + (args.r_to - args.r_from) * t) * ph) for t in ts]
 
     lines = ["z_re,z_im,abs_z,value"]
-    for z in points:
-        cs = build_cs(params, mu, z)
-        if args.quantity == "mandel-q":
-            val = mandel_q(cs)
-            if val is None:
-                raise ValueError(f"mandel-q is undefined at z = {z:.6g} in sector mu = {mu}: "
-                                 "<N> < 1e-12 there")
-        elif args.quantity == "var-x":
-            val = quadrature_stats(cs, args.photons).var_x
-        elif args.quantity == "var-p":
-            val = quadrature_stats(cs, args.photons).var_p
-        else:
-            val = squeeze_ratios(cs, args.photons)[_RATIO_INDEX[args.quantity]]
-        lines.append(f"{z.real:.17g},{z.imag:.17g},{abs(z):.17g},{val:.17g}")
+    for start in range(0, len(points), _SWEEP_BLOCK):
+        block = points[start:start + _SWEEP_BLOCK]
+        try:
+            states = build_states(params, mu, block)
+        except (ValueError, TruncationError):
+            # point by point, so that an earlier point's statistics error comes first
+            states = (build_cs(params, mu, z) for z in block)
+        for z, cs in zip(block, states):
+            if args.quantity == "mandel-q":
+                val = mandel_q(cs)
+                if val is None:
+                    raise ValueError(f"mandel-q is undefined at z = {z:.6g} in sector mu = {mu}: "
+                                     "<N> < 1e-12 there")
+            elif args.quantity == "var-x":
+                val = quadrature_stats(cs, args.photons).var_x
+            elif args.quantity == "var-p":
+                val = quadrature_stats(cs, args.photons).var_p
+            else:
+                val = squeeze_ratios(cs, args.photons)[_RATIO_INDEX[args.quantity]]
+            lines.append(f"{z.real:.17g},{z.imag:.17g},{abs(z):.17g},{val:.17g}")
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -24,7 +24,9 @@ import numpy as np
 
 from .algebra import AlgebraParams, _check_lam, _check_mu, structure_function
 from .specfun import bessel_k
-from .coherent import build_cs, stack_coeffs
+# build_cs stays bound here for bench/test_bench.py, whose tracer test reads
+# measure.build_cs among the bindings it wraps
+from .coherent import build_cs, build_states, stack_coeffs
 
 __all__ = [
     "MomentTarget",
@@ -196,12 +198,12 @@ def angular_offdiagonal(params: AlgebraParams, mu: int, r: float) -> float:
 
     The k-th coefficient carries phase k*phi, so every off-diagonal element
     averages to zero; this spot-checks the angular part of the unity integral.
-    The phased states are built, not derived from one, so the check tests
-    build_cs's phase convention; the average is one product of their
-    zero-padded stack.
+    The phased states are built, in one build_states call, not derived from
+    one, so the check tests the builder's phase convention; the average is one
+    product of their zero-padded stack.
     """
     angles = (2.0 * math.pi * j / _N_PHI for j in range(_N_PHI))
-    v = stack_coeffs([build_cs(params, mu, r * complex(math.cos(phi), math.sin(phi))) for phi in angles])
+    v = stack_coeffs(build_states(params, mu, [r * complex(math.cos(phi), math.sin(phi)) for phi in angles]))
     acc = v.T @ v.conj() / _N_PHI
     np.fill_diagonal(acc, 0.0)
     return float(np.max(np.abs(acc)))

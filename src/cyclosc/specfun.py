@@ -22,11 +22,22 @@ _MAX_TERMS = 100_000
 _ML_TOL = 1e-13  # mittag_leffler stops once its tail bound is below this share of the sum
 
 
+def _lgamma(x: float) -> float:
+    """log Gamma(x), inf where math.lgamma overflows (x above about 2.6e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     """Evaluate E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha k + beta).
 
     Requires alpha > 0 and beta > 0.  Terms are computed in log space so
-    large arguments do not overflow before the gamma denominator catches up.
+    large arguments do not overflow before the gamma denominator catches up;
+    a term whose Gamma argument overflows lgamma is 0.0, and so is every later
+    one, since lgamma rises past its minimum near 1.46 (the tail test below
+    then stops the sum).
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -34,22 +45,24 @@ def mittag_leffler(alpha: float, beta: float, x: float) -> float:
         try:
             return 1.0 / math.gamma(beta)
         except OverflowError:  # Gamma(beta) leaves the double range above beta = 171.62
-            return math.exp(-math.lgamma(beta))
+            return math.exp(-_lgamma(beta))
     lnax = math.log(abs(x))
     sign = 1.0 if x > 0 else -1.0
 
     def term(k):
-        mag = math.exp(k * lnax - math.lgamma(alpha * k + beta))
+        mag = math.exp(k * lnax - _lgamma(alpha * k + beta))
         return mag if sign > 0 or k % 2 == 0 else -mag
 
     total = term(0)
+    if _lgamma(alpha + beta) == math.inf:  # every later term is 0.0; r_next below would be nan
+        return total
     k = 0
     while True:
         k += 1
         t = term(k)
         total += t
         # |T_{k+1}/T_k| decreases in k, so once < 1 it bounds the whole tail.
-        r_next = abs(x) * math.exp(math.lgamma(alpha * k + beta) - math.lgamma(alpha * (k + 1) + beta))
+        r_next = abs(x) * math.exp(_lgamma(alpha * k + beta) - _lgamma(alpha * (k + 1) + beta))
         if r_next < 1.0:
             tail = abs(t) * r_next / (1.0 - r_next)
             if tail <= _ML_TOL * abs(total):

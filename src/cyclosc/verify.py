@@ -19,7 +19,7 @@ CLI turns the list into a report and an exit code; a failed check is the line
 A patched algebra.structure_function reaches what looks it up in the algebra
 namespace: dense_operators, suite_commutators, algebra.build_fock_rep (so the
 moment kernel of stats) and algebra.ladder_products (so its overflow test,
-build_sga and eigen_residual); build_cs binds it at import; mittag_leffler_check
+build_sga and eigen_residual); coherent binds it at import; mittag_leffler_check
 reads no F.  Checks whose two routes both see the patch still agree; the
 commutators suite's comparisons with the unpatched alpha catch it.
 """
@@ -37,7 +37,7 @@ import numpy as np
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import build_sga, closed_forms
-from .coherent import CoherentState, build_cs, eigen_residual, stack_coeffs
+from .coherent import CoherentState, build_cs, build_states, eigen_residual, stack_coeffs
 from .stats import QuadratureMoments, _kind_row, _number_moments, _quadratures, _stencil, quadrature_stats
 from .stats import uncertainty_rhs
 from .measure import moment_target, weight_lambda2, weight_photon, moment_check
@@ -349,14 +349,16 @@ def suite_cs(seed: int = 12345):
     results = []
     add = results.append
     rng = np.random.default_rng(seed)
-    sets = _param_sets(seed, lams=(2, 3, 4))
-    for idx, (lam, alpha) in enumerate(sets):
+    lams = (2, 3, 4)
+    n_builtin = sum(len(_BUILTIN.get(lam, [])) for lam in lams)
+    for idx, (lam, alpha) in enumerate(_param_sets(seed, lams)):
         params = validate_params(lam, alpha)
         tag = _tag(lam, alpha)
-        builtin = idx < sum(len(v) for l, v in _BUILTIN.items() if l in (2, 3, 4))
+        builtin = idx < n_builtin
+        undeformed = np.allclose(params.alpha, 0.0)
         mus = range(lam) if builtin else [int(rng.integers(0, lam))]
         zs = [0.5 + 0j, 2 + 1j, -3 + 0j] if builtin else [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
-        states = [build_cs(params, mu, z) for mu in mus for z in zs]
+        states = [cs for mu in mus for cs in build_states(params, mu, zs)]
         # one dense reference per set: each state reads the leading block of its truncation
         dense = dense_operators(params, max(cs.n_max for cs in states))
         for cs in states:
@@ -401,14 +403,14 @@ def suite_cs(seed: int = 12345):
                 ref = _bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
                 add(_check("cs-bessel-normalization", ztag, abs(ref - cs.norm_factor) / cs.norm_factor, 1e-10))
 
-            if np.allclose(params.alpha, 0.0):
+            if undeformed:
                 add(_check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
 
         # per-parameter (z-independent) checks
         cs0, cs1 = stack_coeffs([build_cs(params, 0, 0.8 + 0.3j), build_cs(params, 1, 0.8 + 0.3j)])
         add(_check("cs-sector-orthogonality", tag, abs(complex(np.vdot(cs0, cs1))), 0.0))
 
-        base, near = stack_coeffs([build_cs(params, 0, 1.1 - 0.6j), build_cs(params, 0, 1.1 - 0.6j + 1e-6)])
+        base, near = stack_coeffs(build_states(params, 0, (1.1 - 0.6j, 1.1 - 0.6j + 1e-6)))
         add(_check("cs-label-continuity", tag, np.linalg.norm(near - base), 1e-4))
 
         mu = 0 if builtin else int(rng.integers(0, lam))

@@ -7,6 +7,7 @@ import pytest
 import cyclosc.algebra
 from cyclosc import cli
 from cyclosc.cli import main
+from cyclosc.coherent import build_cs
 
 
 def run(capsys, *argv):
@@ -82,6 +83,18 @@ def test_sweep_nonfinite_line_names_the_option(capsys, line, option):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {option} must be finite")
+
+
+def test_sweep_span_overflow_names_both_endpoints(capsys):
+    # z_to - z_from = inf: inf * 0 would make the first point NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--lambda", "2", "--quantity", "X",
+                             "--z-from=-1e308", "--z-to", "1e308", "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert "--z-from" in err and "--z-to" in err
 
 
 def test_verify_negative_seed_names_the_option(capsys):
@@ -164,6 +177,52 @@ def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
     lines = a.read_text().splitlines()
     assert lines[0] == "z_re,z_im,abs_z,value"
     assert len(lines) == 8
+
+
+def _per_point(params, mu, zs):
+    return [build_cs(params, mu, z) for z in zs]
+
+
+@pytest.mark.parametrize("quantity", ["X", "P", "Y", "Q4", "mandel-q", "var-x", "var-p"])
+def test_sweep_blocks_match_a_per_point_loop(tmp_path, capsys, monkeypatch, quantity):
+    # one line through z = 0 (sector 1, where <N> >= 1) and one longer than a block
+    lines = [
+        ["--lambda", "3", "--alpha=-0.5,0.25,auto", "--mu", "1", "--z-from=-2-1j", "--z-to", "2+1j", "--steps", "9"],
+        ["--lambda", "2", "--mu", "1", "--photons", "real", "--r-from", "0.5", "--r-to", "40",
+         "--phase", "0.3", "--steps", str(2 * cli._SWEEP_BLOCK + 3)],
+    ]
+    for i, line in enumerate(lines):
+        args = ["sweep", "--quantity", quantity, *line]
+        blocked, single = tmp_path / f"blocked{i}.csv", tmp_path / f"single{i}.csv"
+        assert main(args + ["--out", str(blocked)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_states", _per_point)
+            assert main(args + ["--out", str(single)]) == 0
+        assert blocked.read_bytes() == single.read_bytes(), (quantity, line)
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_reports_the_first_failing_point(capsys):
+    # z = 0 in sector 0 leaves mandel-q undefined (exit 1) before |z| = 5e5 overflows N_0
+    # (exit 3), although both points share one block
+    code, out, err = run(capsys, "sweep", "--lambda", "2", "--quantity", "mandel-q",
+                         "--r-from", "0", "--r-to", "1e6", "--steps", "3")
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("error: mandel-q is undefined at z = 0")
+
+
+def test_sweep_memory_is_bounded_by_the_block(tmp_path):
+    # 2000 points at lambda = 2, |z| <= 90: one (points x levels) block would hold
+    # about 14 MB at the peak
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--lambda", "2", "--quantity", "X", "--r-from", "0", "--r-to", "90",
+                     "--steps", "2000", "--out", str(tmp_path / "long.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000
 
 
 def test_sweep_squeezing_values(capsys):

@@ -369,6 +369,95 @@ def test_adaptive_truncation_matches_full_block_scan(first_block, monkeypatch):
                     assert np.array_equal(cs.coeffs, ref), (lam, mu, r)
 
 
+def _per_point_state(p, mu, z):
+    """(coeffs, norm_factor, tail_bound) of |z; mu> built alone, as build_cs built
+    each state before build_states shared a block between labels: a block sized
+    from this |z|, doubled until its stop test fires or its sum overflows."""
+    lam = p.lam
+    floor = max(4 * lam, mu + 6)
+    if z == 0:
+        coeffs = np.zeros(floor + 1, dtype=complex)
+        coeffs[mu] = 1.0
+        return coeffs, 1.0, 0.0
+    k_lo = -((mu - floor) // lam)
+    log_k_star = (2.0 * math.log(abs(z)) - (lam - 2) * math.log(lam)) / lam
+    k_star = math.exp(min(log_k_star, math.log(coherent._K_RISE)))
+    k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
+    while True:
+        log_f = np.cumsum(np.log(structure_function(p, np.arange(mu + 1, k_top * lam + mu + 1))))
+        log_mag = np.arange(k_top + 1) * (math.log(lam) + math.log(abs(z)))
+        log_mag[1:] -= 0.5 * log_f[lam - 1::lam]
+        log_acc = np.logaddexp.accumulate(2.0 * log_mag)
+        small = np.flatnonzero(log_mag[k_lo + 1:k_top] < math.log(1e-16) + 0.5 * log_acc[k_lo:k_top - 1])
+        if small.size or log_acc[-1] > _LOG_MAX:
+            break
+        k_top *= 2
+    k_last = k_lo + int(small[0]) if small.size else k_top - 2
+    log_norm = float(log_acc[k_last + 2])
+    if log_norm > _LOG_MAX:
+        raise TruncationError(
+            f"normalization N_{mu} >= exp({log_norm:.6g}) at |z| = {abs(z):.6g} "
+            "overflows double precision"
+        )
+    r = math.exp(log_mag[k_last + 2] - log_mag[k_last + 1])
+    tail_bound = math.exp(2.0 * log_mag[k_last + 1] - math.log1p(-r * r) - log_norm)
+    phases = np.full(k_last + 1, z / abs(z))
+    phases[0] = 1.0
+    coeffs = np.zeros(k_last * lam + mu + 1, dtype=complex)
+    coeffs[mu::lam] = np.exp(log_mag[:k_last + 1] - 0.5 * log_norm) * np.cumprod(phases)
+    return coeffs, math.exp(log_norm), tail_bound
+
+
+def _overflow_edge(p, mu):
+    """The largest |z| (to 1e-12 in log|z|) whose state the per-point build still normalizes."""
+    lo, hi = -7.0, 200.0
+    while hi - lo > 1e-12 * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        try:
+            _per_point_state(p, mu, math.exp(mid))
+            lo = mid
+        except TruncationError:
+            hi = mid
+    return math.exp(lo)
+
+
+@pytest.mark.parametrize("first_block", ["sized", "one-term"])
+def test_build_states_rows_equal_build_cs(first_block, monkeypatch):
+    # every row of a shared block is bit for bit the state built alone, whatever
+    # the other labels on the line
+    if first_block == "one-term":
+        # blocks doubled past a row's own last block: its stop and overflow must not move
+        monkeypatch.setattr(coherent, "_K_RISE", 1)
+    rng = np.random.default_rng(22)
+    rows = 0
+    for lam in [*range(2, 13), 24]:
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng)):
+            p = validate_params(lam, alpha)
+            for mu in range(lam):
+                edge = _overflow_edge(p, mu)
+                n = int(rng.integers(1, 41))
+                radii = np.geomspace(1e-3, edge * (1 - 1e-9), n)
+                zs = [cmath.rect(r, rng.uniform(-math.pi, math.pi)) for r in rng.permutation(radii)]
+                zs.insert(int(rng.integers(0, n + 1)), 0j)
+                states = coherent.build_states(p, mu, zs)
+                assert [cs.z for cs in states] == zs
+                for cs in states:
+                    coeffs, norm_factor, tail_bound = _per_point_state(p, mu, cs.z)
+                    assert cs.n_max == coeffs.size - 1, (lam, mu, cs.z)
+                    assert np.array_equal(cs.coeffs, coeffs), (lam, mu, cs.z)
+                    assert cs.norm_factor == norm_factor and cs.tail_bound == tail_bound, (lam, mu, cs.z)
+                    rows += 1
+                # a line that leaves the double range fails at its first such point, with its own text
+                at = min(3, len(zs))
+                over = [*zs[:at], edge * 1.01 * 1j, edge * 1e3, *zs[at:]]
+                with pytest.raises(TruncationError) as failed:
+                    _per_point_state(p, mu, over[at])
+                with pytest.raises(TruncationError) as got:
+                    coherent.build_states(p, mu, over)
+                assert str(got.value) == str(failed.value), (lam, mu)
+    assert rows > 2000
+
+
 @pytest.mark.parametrize("lam, r", [
     (2, 356.0), (2, 1e6), (2, 1e150), (2, 1e300),
     (3, 1e6), (3, 1e150), (3, 1e300),

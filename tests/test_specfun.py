@@ -81,6 +81,17 @@ def test_mittag_leffler_zero_argument_past_gamma_overflow():
     assert got == math.exp(-math.lgamma(176.0)) == mittag_leffler(180.0, 176.0, 1e-300)
 
 
+def test_mittag_leffler_terms_past_lgamma_overflow_are_zero():
+    # lgamma overflows from about 2.6e305; such a term is 0.0, not an OverflowError
+    with pytest.raises(OverflowError):
+        math.lgamma(1e306)
+    for x in (0.0, 0.5, -3.0):
+        assert mittag_leffler(2.0, 1e306, x) == 0.0
+    # only the k = 0 term, 1/Gamma(1), survives
+    assert mittag_leffler(1e306, 1.0, 0.5) == 1.0
+    assert mittag_leffler(1e306, 1.0, -2.0) == 1.0
+
+
 def test_mittag_leffler_negative_argument():
     assert math.isclose(mittag_leffler(1.0, 1.0, -3.0), math.exp(-3.0), rel_tol=1e-10)
 

@@ -236,25 +236,26 @@ def test_dual_route_agreement():
         sn, sn2 = dense_number_moments(dense, cs.coeffs)
         assert abs(rep.mean_n - sn) < 1e-11
         assert abs(rep.var_n - (sn2 - sn * sn)) < 1e-11
-    # squeezing ratios against the dense quadratic forms, every sector, at
-    # uniform random phases.  On the real axis, from |z| ~ 60 at lambda = 2,
-    # the dense <v|c^4|v> of the squeezed quadrature loses digits to
-    # cancellation (3e-12 from an mpmath reference at |z| = 90, where the
-    # stencil route stays within 1e-13), so this bound holds off that axis.
+    # squeezing ratios against the dense quadratic forms, every sector, at a
+    # uniform random phase and on the real axis (phases 0 and pi), where the
+    # lambda = 2 state is squeezed most.  The dense route applies c = x - <x>
+    # to the vector four times rather than squaring the matrix, so its fourth
+    # moment of the squeezed quadrature keeps its digits there as well.
     fields = ("var_x", "var_p", "central_x4", "central_p4")
     for lam in range(2, 6):
         for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng)):
             p = validate_params(lam, alpha)
             radii = (0.3, 1.7, 3.5) + ((12.0, 40.0, 90.0) if lam == 2 else ())
             for mu, r in itertools.product(range(lam), radii):
-                cs = build_cs(p, mu, r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-                stack = stack_coeffs([cs, build_cs(p, mu, 0.0)])
-                dense = dense_operators(p, stack.shape[1] - 1)
-                for kind in ("dressed", "real"):
-                    s, s0 = (dense_quadrature_moments(dense, v, kind) for v in stack)
-                    want = [getattr(s, f) / getattr(s0, f) for f in fields]
-                    for got, w in zip(squeeze_ratios(cs, kind), want):
-                        assert abs(got - w) <= 1e-12 * abs(w), (lam, mu, r, kind)
+                for phase in (rng.uniform(0.0, 2.0 * np.pi), 0.0, np.pi):
+                    cs = build_cs(p, mu, r * np.exp(1j * phase))
+                    stack = stack_coeffs([cs, build_cs(p, mu, 0.0)])
+                    dense = dense_operators(p, stack.shape[1] - 1)
+                    for kind in ("dressed", "real"):
+                        s, s0 = (dense_quadrature_moments(dense, v, kind) for v in stack)
+                        want = [getattr(s, f) / getattr(s0, f) for f in fields]
+                        for got, w in zip(squeeze_ratios(cs, kind), want):
+                            assert abs(got - w) <= 1e-12 * abs(w), (lam, mu, r, phase, kind)
 
 
 def test_report_bundles_consistently():
