@@ -76,9 +76,13 @@ def _finite(value, option: str):
 
 
 def _write_out(text: str, out) -> None:
+    """text to the --out file, else to stdout; a file that cannot be written is bad input."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

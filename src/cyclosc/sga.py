@@ -13,11 +13,12 @@ J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
 prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n> (algebra.ladder_products at n and
 n + lambda); on sector mu they are P_- and P_+ = lambda^{lambda-2} prod_j (J_0 - r_j),
 r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod lambda}) / lambda, over j = 0, -1,
-..., 1-lambda and j = 1..lambda.  One call, build_sga(params), validates both
-against the diagonals at the levels k lambda + mu, k <= 3 lambda - 1, of every
-sector in one stacked row-wise Horner pass, to 1e-8 relative to the monomial
-form's own magnitude sum_i |p_i| |J_0|^i (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., sec. 5.1), and returns their exact combinations
+..., 1-lambda and j = 1..lambda, both expanded in one pass.  One call,
+build_sga(params), validates both against the diagonals at the levels
+k lambda + mu, k <= 3 lambda - 1, of every sector in one stacked row-wise
+Horner pass, to 1e-8 relative to the monomial form's own magnitude
+sum_i |p_i| |J_0|^i (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., sec. 5.1), and returns their exact combinations
 f = P_- - P_+, h = P_+(0) - P_+ and c = P_+(0); closed_forms gives the lambda =
 2, 3 goldens.  The products overflow double precision from lambda = 74 at
 alpha = 0: ladder_products tests its top entry before it forms them and raises
@@ -70,15 +71,19 @@ def build_sga(params: AlgebraParams) -> SgaPolynomials:
 
 
 def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:
-    """Row mu: lambda^{lambda-2} prod_j (J_0 - r_j) over the shifts, ascending in J_0."""
+    """Row mu: lambda^{lambda-2} prod_j (J_0 - r_j) over the lambda shifts j, ascending
+    in J_0.  shifts is one row of shifts (result (lambda, lambda + 1)) or a stack of rows
+    (result (rows, lambda, lambda + 1)); each row's polynomials are bitwise those of its
+    own call, as every entry runs the same product-of-roots expansion."""
     lam = params.lam
+    shifts = np.asarray(shifts)[..., None, :]  # broadcast against sector mu on the row axis
     beta = params.beta[(np.arange(lam)[:, None] + shifts) % lam]
     roots = (params.gamma[:, None] + 0.5 - shifts - beta) / lam
-    p = np.zeros((lam, lam + 1))
-    p[:, 0] = float(lam) ** (lam - 2)
-    for r in roots.T[:, :, None]:
-        p[:, 1:] = p[:, :-1] - r * p[:, 1:]
-        p[:, :1] *= -r
+    p = np.zeros(roots.shape[:-1] + (lam + 1,))
+    p[..., 0] = float(lam) ** (lam - 2)
+    for r in np.moveaxis(roots, -1, 0)[..., None]:
+        p[..., 1:] = p[..., :-1] - r * p[..., 1:]
+        p[..., :1] *= -r
     return p
 
 
@@ -100,14 +105,15 @@ def _raise_first(resid: np.ndarray, message: str) -> None:
 
 
 def _fit(params: AlgebraParams, x: np.ndarray, low: np.ndarray, g: np.ndarray) -> SgaPolynomials:
-    """f, h and c from the root products P_- (J_+ J_-) and P_+ (J_- J_+), each
+    """f, h and c from the root products P_- (J_+ J_-) and P_+ (J_- J_+), the two rows
+    of one _root_polys call over the shifts j = 0, -1, ..., 1-lambda and 1..lambda, each
     validated at the levels whose J_0, J_+ J_- and J_- J_+ are row mu of x, low
     and g (sector mu), to 1e-8 relative to sum_i |p_i| |x|^i.  A residual that
     is not below 1e-8 raises RuntimeError (implementation-bug signal), P_-'s
     over all sectors before P_+'s.
     """
     lam = params.lam
-    p = np.concatenate([_root_polys(params, -np.arange(lam)), _root_polys(params, np.arange(1, lam + 1))])
+    p = _root_polys(params, np.array([-np.arange(lam), np.arange(1, lam + 1)])).reshape(2 * lam, lam + 1)
     t = -p[lam:]  # J_- J_+ = c - h
     s = (p[:lam] + t)[:, :lam]
     c = -t[:, 0]

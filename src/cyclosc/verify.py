@@ -10,6 +10,12 @@ the longer ones (h0 is not: its a a† half has the truncation artifact in its l
 row), so suite_cs builds one DenseOperators per parameter set and the dense
 helpers read the block the size of their vector, applying powers as matrix-vector chains.
 
+N, P_mu, the lambda = 2 parity K and h0 are diagonal, so a product with one of
+them as a factor is formed as a row or column scaling, d[:, None] * M or M * d,
+and a product read only on its diagonal (J_- J_+, J_+ J_-) as an einsum of
+its diagonal entries.  Each matmul entry there sums exactly one nonzero term,
+so both forms are the matmul bit for bit; sum P_mu = I stays a dense comparison.
+
 Every check is a CheckResult: a measured deviation `value` against a fixed
 `bound`, passing when value <= bound, so a NaN deviation fails.  A check that
 covers several deviations reduces them with np.max, which keeps a NaN.  The
@@ -139,9 +145,15 @@ def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed") -> Qua
     """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
     for the dense_quadratures matrices x and p, on the leading block the size of v:
     c^2 v = c(c v) and c^4 v = c(c(c^2 v))."""
+    return _moments_of(dense_quadratures(ops, kind), coeffs)
+
+
+def _moments_of(quadratures, coeffs) -> QuadratureMoments:
+    """dense_quadrature_moments for given (x, p) matrices, so that suite_cs forms them
+    once per parameter set."""
     v = np.asarray(coeffs, dtype=complex)
     out = []
-    for op in dense_quadratures(ops, kind):
+    for op in quadratures:
         op = op[:v.size, :v.size]
         mean = float(np.real(np.vdot(v, op @ v)))
         c = op - mean * np.eye(v.size)
@@ -215,23 +227,29 @@ def suite_commutators(seed: int = 12345):
                                  (op @ v for op in dense_quadratures(fock, kind)))
         ], 1e-15))
 
-        comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
+        a_dag_a = fock.a_dag @ fock.a
+        comm = fock.a @ fock.a_dag - a_dag_a
         target = np.eye(dim) + sum(params.alpha[mu] * fock.projectors[mu] for mu in range(lam))
         add(_check("commutator-identity", tag, np.abs(comm - target)[top, top], 1e-12))
 
+        # N, P_mu and K are diagonal: D M is the row scaling d[:, None] * M and M D
+        # the column scaling M * d, the one nonzero term of each matmul entry
+        proj = np.array([np.diag(pm) for pm in fock.projectors])
         add(_check("projector-shift", tag, [
-            np.max(np.abs(fock.a_dag @ fock.projectors[mu] - fock.projectors[(mu + 1) % lam] @ fock.a_dag))
+            np.max(np.abs(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag))
             for mu in range(lam)
         ], 0.0))
 
-        add(_check("projector-algebra", tag, [np.max(np.abs(sum(fock.projectors) - np.eye(dim)))] + [
-            np.max(np.abs(fock.projectors[mu] @ fock.projectors[nu] - (fock.projectors[mu] if mu == nu else 0.0)))
-            for mu in range(lam) for nu in range(lam)
+        # P_mu P_nu - delta_mu,nu P_mu is zero off the diagonal; sum P_mu = I stays dense
+        add(_check("projector-algebra", tag, [
+            np.max(np.abs(sum(fock.projectors) - np.eye(dim))),
+            np.max(np.abs(proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None])),
         ], 0.0))
 
+        n_diag = np.diag(fock.n_op)
         add(_check("number-commutators", tag, [
-            np.max(np.abs(fock.n_op @ fock.a_dag - fock.a_dag @ fock.n_op - fock.a_dag)[top, top]),
-            np.max(np.abs(fock.n_op @ fock.a - fock.a @ fock.n_op + fock.a)[top, top]),
+            np.max(np.abs(n_diag[:, None] * fock.a_dag - fock.a_dag * n_diag - fock.a_dag)[top, top]),
+            np.max(np.abs(n_diag[:, None] * fock.a - fock.a * n_diag + fock.a)[top, top]),
         ], 1e-12))
 
         # F(n) > 0 for n >= 1, stated as -F <= -tiny so that F = 0 fails
@@ -244,7 +262,7 @@ def suite_commutators(seed: int = 12345):
 
         # the exact diagonal squares the superdiagonal as x * x, the one nonzero product
         # the matmul sums per entry; the bound leaves a few ulp for the BLAS
-        diag = np.diag(fock.a_dag @ fock.a)
+        diag = np.diag(a_dag_a)
         exact = np.concatenate([[0.0], np.diag(fock.a, 1) ** 2])
         add(_check("number-diagonal", tag, np.abs(diag - exact) / np.maximum(np.abs(exact), _TINY),
                    4.0 * np.finfo(float).eps))
@@ -252,10 +270,11 @@ def suite_commutators(seed: int = 12345):
         add(_check("energy-diagonal", tag, np.abs(np.diag(fock.h0)[top] - energy(params, np.arange(n_max))), 1e-12))
 
         if lam == 2:
-            kmat = np.diag((-1.0) ** np.arange(dim))
-            add(_check("parity-anticommutation", tag, np.abs(kmat @ fock.a_dag + fock.a_dag @ kmat), 0.0))
+            parity = (-1.0) ** np.arange(dim)
+            add(_check("parity-anticommutation", tag,
+                       np.abs(parity[:, None] * fock.a_dag + fock.a_dag * parity), 0.0))
             add(_check("parity-commutator-form", tag,
-                       np.abs(comm - np.eye(dim) - params.alpha[0] * kmat)[top, top], 1e-12))
+                       np.abs(comm - np.eye(dim) - params.alpha[0] * np.diag(parity))[top, top], 1e-12))
     return results
 
 
@@ -268,12 +287,12 @@ def suite_sga(seed: int = 12345):
         fock = dense_operators(params, n_max)
         j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
         j_minus = np.linalg.matrix_power(fock.a, lam) / lam
-        j_zero = fock.h0 / lam
+        j_zero = np.diag(fock.h0) / lam  # h0 is diagonal: J_0 scales rows and columns
         tag = _tag(lam, alpha)
 
         # relative to the largest |J_+| entry of the block, which grows like n^lambda / lambda
         inner = (slice(0, n_max - lam),) * 2
-        add(_check("j0-ladder-commutator", tag, np.abs(j_zero @ j_plus - j_plus @ j_zero - j_plus)[inner]
+        add(_check("j0-ladder-commutator", tag, np.abs(j_zero[:, None] * j_plus - j_plus * j_zero - j_plus)[inner]
                    / np.max(np.abs(j_plus[inner])), 1e-13))
         add(_check("jminus-annihilates-sector-floor", tag, np.linalg.norm(j_minus[:, :lam], axis=0), 0.0))
 
@@ -284,17 +303,14 @@ def suite_sga(seed: int = 12345):
             continue
         add(_check("polynomial-extraction", tag, [poly.f_residual, poly.h_residual], 1e-8))
 
-        # Casimir constant across k = 0..3 per sector, from the matrices
-        g = np.diag(j_minus @ j_plus)
-        sectors = [np.arange(4) * lam + mu for mu in range(lam)]
-        add(_check("casimir-constancy", tag, [
-            np.std(g[n] + np.polynomial.polynomial.polyval(energy(params, n) / lam, poly.t[mu]))
-            / np.maximum(1.0, np.max(np.abs(g[n])))
-            for mu, n in enumerate(sectors)
-        ], 1e-9))
+        # Casimir constant across k = 0..3 per sector (row mu: levels k lam + mu), from the
+        # matrices; J_- J_+ is read on its diagonal only, one nonzero term per entry
+        g = np.einsum("ij,ji->i", j_minus, j_plus)
+        ns = np.arange(4) * lam + np.arange(lam)[:, None]
+        add(_check("casimir-constancy", tag, np.std(g[ns] + _sector_polyval(params, ns, poly.t), axis=1)
+                   / np.maximum(1.0, np.max(np.abs(g[ns]), axis=1)), 1e-9))
 
-        add(_check("lowest-j0-eigenvalue", tag,
-                   np.abs(np.diag(j_zero)[:lam] - energy(params, np.arange(lam)) / lam), 1e-12))
+        add(_check("lowest-j0-eigenvalue", tag, np.abs(j_zero[:lam] - energy(params, np.arange(lam)) / lam), 1e-12))
 
         cf = closed_forms(params)
         if cf is not None:
@@ -303,13 +319,17 @@ def suite_sga(seed: int = 12345):
             ], 1e-9))
 
         # diag [J_+, J_-] against f(J_0) on the levels k lam + mu, k < 2 lam, clear of n_max
-        comm = np.diag(j_plus @ j_minus - j_minus @ j_plus)
-        add(_check("generator-consistency", tag, [
-            np.abs(comm[n] - np.polynomial.polynomial.polyval(energy(params, n) / lam, poly.s[mu]))
-            / np.maximum(1.0, np.abs(comm[n]))
-            for mu, n in enumerate(np.arange(2 * lam) * lam + np.arange(lam)[:, None])
-        ], 1e-9))
+        ns = np.arange(2 * lam) * lam + np.arange(lam)[:, None]
+        comm = (np.einsum("ij,ji->i", j_plus, j_minus) - g)[ns]
+        add(_check("generator-consistency", tag,
+                   np.abs(comm - _sector_polyval(params, ns, poly.s)) / np.maximum(1.0, np.abs(comm)), 1e-9))
     return results
+
+
+def _sector_polyval(params, ns, coeffs):
+    """Row mu of coeffs (ascending in J_0) at J_0 = E(n) / lambda for row mu of the levels ns:
+    one polyval over every sector, with the per-sector call's arithmetic."""
+    return np.polynomial.polynomial.polyval(energy(params, ns) / params.lam, coeffs.T[:, :, None], tensor=False)
 
 
 def _brute_norm(params, mu, z):
@@ -361,6 +381,7 @@ def suite_cs(seed: int = 12345):
         states = [cs for mu in mus for cs in build_states(params, mu, zs)]
         # one dense reference per set: each state reads the leading block of its truncation
         dense = dense_operators(params, max(cs.n_max for cs in states))
+        dressed = dense_quadratures(dense, "dressed")
         for cs in states:
             mu, z = cs.mu, cs.z
             ztag = f"{tag} mu={mu} z={z}"
@@ -388,7 +409,7 @@ def suite_cs(seed: int = 12345):
                        dev if head.imag == 0.0 and head.real > 0 else math.inf, 1e-10))
 
             mm = quadrature_stats(cs, "dressed")
-            ss = dense_quadrature_moments(dense, cs.coeffs, "dressed")
+            ss = _moments_of(dressed, cs.coeffs)
             mean_n, var_n = _number_moments(cs)
             sn, sn2 = dense_number_moments(dense, cs.coeffs)
             add(_check("dual-route-expectations", ztag, [

@@ -313,6 +313,22 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "FAIL" not in text
 
 
+@pytest.mark.parametrize("command", [
+    ["info", "--lambda", "2"],
+    ["sga", "--lambda", "3"],
+    ["sweep", "--lambda", "2", "--quantity", "X", "--r-from", "0", "--r-to", "1", "--steps", "3"],
+    ["verify", "--suite", "sga"],
+], ids=["info", "sga", "sweep", "verify"])
+@pytest.mark.parametrize("target, reason", [("missing/out.txt", "No such file or directory"),
+                                            (".", "Is a directory")], ids=["missing-dir", "dir"])
+def test_unwritable_out_is_one_line_bad_input(tmp_path, capsys, command, target, reason):
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, *command, "--out", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: cannot write --out {path}: {reason}\n"
+
+
 def test_verify_rejects_tol(capsys):
     # the suites' bounds are fixed; there is no --tol to loosen them
     code, out, err = run(capsys, "verify", "--tol", "1e-3")

@@ -228,6 +228,18 @@ def test_root_expansion_matches_per_sector_polyfromroots():
                     assert np.max(np.abs(got[mu] - want)) <= bound, (lam, alpha, mu)
 
 
+
+def test_stacked_root_polys_equal_the_one_row_calls():
+    # _fit's one call over the (2, lambda) shifts is bitwise the P_- and P_+ calls
+    for lam in range(2, 74):
+        low, high = -np.arange(lam), np.arange(1, lam + 1)
+        for alpha in ([0.0] * lam, random_admissible_alpha(lam, np.random.default_rng([lam, 2024]))):
+            p = validate_params(lam, alpha)
+            stacked = _root_polys(p, np.array([low, high]))
+            assert stacked.shape == (2, lam, lam + 1)
+            assert np.array_equal(stacked[0], _root_polys(p, low)), lam
+            assert np.array_equal(stacked[1], _root_polys(p, high)), lam
+
 def _rational_alpha(lam, rng):
     # alpha on the grid k/20 with every F(mu) > 1/20; the last entry closes the sum
     while True:

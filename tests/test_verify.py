@@ -8,6 +8,7 @@ import pytest
 from cyclosc import algebra, verify
 from cyclosc.algebra import random_admissible_alpha, validate_params
 from cyclosc.coherent import build_cs
+from cyclosc.sga import build_sga
 from cyclosc.verify import CheckResult, SUITES, run_suites, suite_commutators, suite_cs
 from cyclosc.verify import dense_number_moments, dense_operators, dense_quadrature_moments, dense_quadratures
 
@@ -126,3 +127,62 @@ def test_shared_reference_matches_per_state_reference(lam):
                 got = verify._dense_lowered(ops, cs.coeffs)
                 assert got.shape == cs.coeffs.shape
                 assert np.max(np.abs(got - lowered)) <= 1e-15 * np.max(np.abs(lowered))
+
+
+def _diagonal_factor_draws(lam):
+    # alpha = 0 and two seeded admissible draws, each with its extraction-size reference
+    draws = [[0.0] * lam] + [random_admissible_alpha(lam, np.random.default_rng([lam, k])) for k in (21, 22)]
+    return [dense_operators(validate_params(lam, al), verify.extraction_n_max(lam)) for al in draws]
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_diagonal_factor_scalings_equal_the_matmuls(lam):
+    # each matmul entry with a diagonal factor sums one nonzero term, so the row
+    # scaling d[:, None] * M and column scaling M * d are the matmul bit for bit
+    for fock in _diagonal_factor_draws(lam):
+        proj = np.array([np.diag(pm) for pm in fock.projectors])
+        for mu in range(lam):
+            nxt = fock.projectors[(mu + 1) % lam]
+            assert np.array_equal(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag,
+                                  fock.a_dag @ fock.projectors[mu] - nxt @ fock.a_dag)
+        # projector algebra: the diagonals carry every entry of P_mu P_nu - delta P_mu
+        on_diag = proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None]
+        for mu in range(lam):
+            for nu in range(lam):
+                dense = fock.projectors[mu] @ fock.projectors[nu] - (fock.projectors[mu] if mu == nu else 0.0)
+                assert np.array_equal(np.diag(on_diag[mu, nu]), dense)
+        n_diag = np.diag(fock.n_op)
+        n_op, a, a_dag = fock.n_op, fock.a, fock.a_dag
+        assert np.array_equal(n_diag[:, None] * a_dag - a_dag * n_diag - a_dag, n_op @ a_dag - a_dag @ n_op - a_dag)
+        assert np.array_equal(n_diag[:, None] * a - a * n_diag + a, n_op @ a - a @ n_op + a)
+        parity = (-1.0) ** np.arange(fock.n_max + 1)
+        kmat = np.diag(parity)
+        assert np.array_equal(np.abs(parity[:, None] * fock.a_dag + fock.a_dag * parity),
+                              np.abs(kmat @ fock.a_dag + fock.a_dag @ kmat))
+        j_zero, j_plus = fock.h0 / lam, np.linalg.matrix_power(fock.a_dag, lam) / lam
+        d0 = np.diag(fock.h0) / lam
+        assert np.array_equal(d0[:, None] * j_plus - j_plus * d0, j_zero @ j_plus - j_plus @ j_zero)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_diagonal_reads_and_sector_polyval_equal_the_dense_forms(lam):
+    polyval = np.polynomial.polynomial.polyval
+    for fock in _diagonal_factor_draws(lam):
+        j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
+        j_minus = np.linalg.matrix_power(fock.a, lam) / lam
+        g = np.einsum("ij,ji->i", j_minus, j_plus)
+        assert np.array_equal(g, np.diag(j_minus @ j_plus))
+        assert np.array_equal(np.einsum("ij,ji->i", j_plus, j_minus) - g,
+                              np.diag(j_plus @ j_minus - j_minus @ j_plus))
+
+        params = fock.params
+        poly = build_sga(params)
+        for coeffs, ks in ((poly.t, 4), (poly.s, 2 * lam)):
+            ns = np.arange(ks) * lam + np.arange(lam)[:, None]
+            rows = verify._sector_polyval(params, ns, coeffs)
+            loop = [polyval(algebra.energy(params, n) / lam, coeffs[mu]) for mu, n in enumerate(ns)]
+            assert np.array_equal(rows, loop)
+        # casimir-constancy's row-wise std is the per-sector one
+        ns = np.arange(4) * lam + np.arange(lam)[:, None]
+        vals = g[ns] + verify._sector_polyval(params, ns, poly.t)
+        assert np.array_equal(np.std(vals, axis=1), [np.std(row) for row in vals])
