@@ -7,8 +7,12 @@ from its Mittag-Leffler form.
 
 On a shorter truncation a, a†, b, b†, N, P_mu, x and p are leading blocks of
 the longer ones (h0 is not: its a a† half has the truncation artifact in its last
-row), so suite_cs builds one DenseOperators per parameter set and the dense
-helpers read the block the size of their vector, applying powers as matrix-vector chains.
+row), so the dense helpers read the block the size of their vectors, one vector or
+a stack of rows, applying powers as chains of products.  suite_cs checks one stack
+per parameter set: every state the set needs comes from one build_states call per
+sector, and its checked states and the z = 0 vacuum, zero-padded onto the basis of
+the longest, go through one production moment pass and one dense reference at that
+width.
 
 N, P_mu, the lambda = 2 parity K and h0 are diagonal, so a product with one of
 them as a factor is formed as a row or column scaling, d[:, None] * M or M * d,
@@ -43,10 +47,12 @@ import numpy as np
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
 from .sga import build_sga, closed_forms
+# build_cs stays bound here for bench/test_bench.py, whose tracer test reads
+# verify.build_cs among the bindings it wraps
 from .coherent import CoherentState, build_cs, build_states, eigen_residual, stack_coeffs
-from .stats import QuadratureMoments, _kind_row, _number_moments, _quadratures, _stencil, quadrature_stats
+from .stats import _as_record, _kind_row, _moments, _number_moments, _quadratures, _stencil
 from .stats import uncertainty_rhs
-from .measure import moment_target, weight_lambda2, weight_photon, moment_check
+from .measure import _undeformed, moment_target, weight_lambda2, weight_photon, moment_check
 from .measure import unity_reconstruction, angular_offdiagonal
 from .specfun import mittag_leffler
 
@@ -141,40 +147,47 @@ def dense_quadratures(ops: DenseOperators, kind="dressed"):
     return (hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)
 
 
-def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed") -> QuadratureMoments:
+def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed"):
     """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
-    for the dense_quadratures matrices x and p, on the leading block the size of v:
-    c^2 v = c(c v) and c^4 v = c(c(c^2 v))."""
-    return _moments_of(dense_quadratures(ops, kind), coeffs)
-
-
-def _moments_of(quadratures, coeffs) -> QuadratureMoments:
-    """dense_quadrature_moments for given (x, p) matrices, so that suite_cs forms them
-    once per parameter set."""
+    for the dense_quadratures matrices x and p, for each vector v along the last axis
+    of coeffs on the leading block its size: c^2 v = c(c v) and c^4 v = c(c(c^2 v)),
+    chains of products with the whole stack.  One vector gives a QuadratureMoments, a
+    stack the array stats._moments gives (rows mean, dispersion and fourth moment,
+    columns x and p)."""
     v = np.asarray(coeffs, dtype=complex)
-    out = []
-    for op in quadratures:
-        op = op[:v.size, :v.size]
-        mean = float(np.real(np.vdot(v, op @ v)))
-        c = op - mean * np.eye(v.size)
-        c2v = c @ (c @ v)
-        out.append((mean, float(np.real(np.vdot(v, c2v))), float(np.real(np.vdot(v, c @ (c @ c2v))))))
-    (mx, vx, x4), (mp, vp, p4) = out
-    return QuadratureMoments(mx, mp, vx, vp, x4, p4)
+    size = v.shape[-1]
+    m = np.empty(v.shape[:-1] + (3, 2))
+    for j, op in enumerate(dense_quadratures(ops, kind)):
+        op_t = op[:size, :size].T
+        w = v @ op_t
+        mean = np.vecdot(v, w).real[..., None]
+        w -= mean * v
+        c2v = w @ op_t - mean * w
+        c3v = c2v @ op_t - mean * c2v
+        m[..., 0, j] = mean[..., 0]
+        m[..., 1, j] = np.vecdot(v, c2v).real
+        m[..., 2, j] = np.vecdot(v, c3v @ op_t - mean * c3v).real
+    return _as_record(m) if v.ndim == 1 else m
 
 
 def dense_number_moments(ops: DenseOperators, coeffs):
-    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the leading b, b† blocks the size of v."""
+    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the leading b, b† blocks the size of
+    each vector v along the last axis of coeffs, in one reduction: two floats for one
+    vector, two arrays for a stack."""
     v = np.asarray(coeffs, dtype=complex)
-    w = ops.b_dag[:v.size, :v.size] @ (ops.b[:v.size, :v.size] @ v)
-    return float(np.real(np.vdot(v, w))), float(np.real(np.vdot(w, w)))
+    size = v.shape[-1]
+    w = v @ ops.b[:size, :size].T @ ops.b_dag[:size, :size].T
+    mean, square = np.vecdot(np.stack((v, w)), w).real
+    return (float(mean), float(square)) if v.ndim == 1 else (mean, square)
 
 
 def _dense_lowered(ops: DenseOperators, coeffs):
-    """a^lambda v as lambda matrix-vector products on the leading block the size of v."""
-    w, a = coeffs, ops.a[:len(coeffs), :len(coeffs)]
+    """a^lambda v for each vector v along the last axis of coeffs, as lambda products
+    with the leading block of a its size."""
+    w = np.asarray(coeffs)
+    a_t = ops.a[:w.shape[-1], :w.shape[-1]].T
     for _ in range(ops.params.lam):
-        w = a @ w
+        w = w @ a_t
     return w
 
 
@@ -187,7 +200,7 @@ def mittag_leffler_check(cs: CoherentState) -> float:
     on |k lambda + mu>, each in log space from lgamma; return the largest coefficient
     deviation from cs.  RuntimeError where E is not a positive normal double."""
     params, mu, z = cs.params, cs.mu, cs.z
-    if not np.allclose(params.alpha, 0.0, atol=1e-14):
+    if not _undeformed(params):
         raise ValueError("the Mittag-Leffler form requires alpha = 0")
     lam = params.lam
     rebuilt = np.zeros(cs.n_max + 1, dtype=complex)
@@ -365,6 +378,16 @@ def _bessel_norm_lambda2(nu, r):
     return float(ive(nu, x)) * math.exp(x + math.lgamma(nu + 1.0) - nu * math.log(r))
 
 
+def _by_sector(params, labels):
+    """The state of each (mu, z) in labels, in order, from one build_states call per
+    sector; its rows are bit for bit the states build_cs gives."""
+    sectors = {}
+    for mu, z in labels:
+        sectors.setdefault(mu, []).append(z)
+    built = {mu: iter(build_states(params, mu, zs)) for mu, zs in sectors.items()}
+    return [next(built[mu]) for mu, _ in labels]
+
+
 def suite_cs(seed: int = 12345):
     results = []
     add = results.append
@@ -375,21 +398,34 @@ def suite_cs(seed: int = 12345):
         params = validate_params(lam, alpha)
         tag = _tag(lam, alpha)
         builtin = idx < n_builtin
-        undeformed = np.allclose(params.alpha, 0.0)
+        undeformed = _undeformed(params)
         mus = range(lam) if builtin else [int(rng.integers(0, lam))]
         zs = [0.5 + 0j, 2 + 1j, -3 + 0j] if builtin else [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
-        states = [cs for mu in mus for cs in build_states(params, mu, zs)]
-        # one dense reference per set: each state reads the leading block of its truncation
-        dense = dense_operators(params, max(cs.n_max for cs in states))
-        dressed = dense_quadratures(dense, "dressed")
-        for cs in states:
+        mu_vac = 0 if builtin else int(rng.integers(0, lam))
+        # every state of the set: the checked ones, the orthogonality pair, the
+        # continuity pair and the z = 0 vacuum
+        *states, ortho0, ortho1, base, near, vacuum = _by_sector(params, [
+            *((mu, z) for mu in mus for z in zs),
+            (0, 0.8 + 0.3j), (1, 0.8 + 0.3j), (0, 1.1 - 0.6j), (0, 1.1 - 0.6j + 1e-6), (mu_vac, 0.0),
+        ])
+
+        # one moment pass over the set's states and the vacuum, on the basis of the
+        # longest, and one dense reference at that width, applied to the whole stack
+        stack = stack_coeffs([*states, vacuum])
+        n_max = stack.shape[1] - 1
+        moments = _moments(stack, algebra.build_fock_rep(params, n_max), "dressed")
+        dense = dense_operators(params, n_max)
+        dense_moments = dense_quadrature_moments(dense, stack, "dressed")
+        dense_n, dense_n2 = dense_number_moments(dense, stack)
+        lowered = _dense_lowered(dense, stack)
+        for i, cs in enumerate(states):
             mu, z = cs.mu, cs.z
             ztag = f"{tag} mu={mu} z={z}"
 
             res = eigen_residual(cs)
             add(_check("cs-eigen-residual", ztag, res, 1e-10))
 
-            w = _dense_lowered(dense, cs.coeffs) - lam * z * cs.coeffs
+            w = lowered[i, :cs.coeffs.size] - lam * z * cs.coeffs
             w[cs.n_max - lam + 1:] = 0.0
             res2 = float(np.linalg.norm(w) / lam / max(abs(z), 1.0))
             add(_check("cs-eigen-equivalent-form", ztag, abs(res2 - res), 1e-12))
@@ -408,17 +444,14 @@ def suite_cs(seed: int = 12345):
             add(_check("cs-phase-convention", ztag,
                        dev if head.imag == 0.0 and head.real > 0 else math.inf, 1e-10))
 
-            mm = quadrature_stats(cs, "dressed")
-            ss = _moments_of(dressed, cs.coeffs)
             mean_n, var_n = _number_moments(cs)
-            sn, sn2 = dense_number_moments(dense, cs.coeffs)
             add(_check("dual-route-expectations", ztag, [
-                *(abs(got - want) for got, want in zip(vars(mm).values(), vars(ss).values())),
-                abs(mean_n - sn), abs(var_n - (sn2 - sn * sn)),
+                *np.abs(moments[i] - dense_moments[i]).ravel(),
+                abs(mean_n - dense_n[i]), abs(var_n - (dense_n2[i] - dense_n[i] * dense_n[i])),
             ], 1e-11))
 
             add(_check("uncertainty-product", ztag,
-                       uncertainty_rhs(params, mu) - mm.var_x * mm.var_p, 1e-10))
+                       uncertainty_rhs(params, mu) - moments[i, 1, 0] * moments[i, 1, 1], 1e-10))
 
             if lam == 2:
                 ref = _bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
@@ -428,21 +461,20 @@ def suite_cs(seed: int = 12345):
                 add(_check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
 
         # per-parameter (z-independent) checks
-        cs0, cs1 = stack_coeffs([build_cs(params, 0, 0.8 + 0.3j), build_cs(params, 1, 0.8 + 0.3j)])
-        add(_check("cs-sector-orthogonality", tag, abs(complex(np.vdot(cs0, cs1))), 0.0))
+        v0, v1 = stack_coeffs([ortho0, ortho1])
+        add(_check("cs-sector-orthogonality", tag, abs(complex(np.vdot(v0, v1))), 0.0))
 
-        base, near = stack_coeffs(build_states(params, 0, (1.1 - 0.6j, 1.1 - 0.6j + 1e-6)))
-        add(_check("cs-label-continuity", tag, np.linalg.norm(near - base), 1e-4))
+        v0, v1 = stack_coeffs([base, near])
+        add(_check("cs-label-continuity", tag, np.linalg.norm(v1 - v0), 1e-4))
 
-        mu = 0 if builtin else int(rng.integers(0, lam))
-        m0 = quadrature_stats(build_cs(params, mu, 0.0), "dressed")
+        var_x, var_p = moments[-1, 1]
         bb = params.beta_bar
-        want = (lam / 2.0) * (bb[mu + 1] + bb[mu])
-        mtag = f"{tag} mu={mu}"
-        add(_check("vacuum-dispersions", mtag, [abs(m0.var_x - want), abs(m0.var_p - want)], 1e-12))
+        want = (lam / 2.0) * (bb[mu_vac + 1] + bb[mu_vac])
+        mtag = f"{tag} mu={mu_vac}"
+        add(_check("vacuum-dispersions", mtag, [abs(var_x - want), abs(var_p - want)], 1e-12))
         # sector 0 meets the bound, every other sector clears it by 1e-6
-        gap = m0.var_x * m0.var_p - uncertainty_rhs(params, mu)
-        value, bound = (abs(gap), 1e-12) if mu == 0 else (-gap, -1e-6)
+        gap = var_x * var_p - uncertainty_rhs(params, mu_vac)
+        value, bound = (abs(gap), 1e-12) if mu_vac == 0 else (-gap, -1e-6)
         add(_check("vacuum-uncertainty-floor", mtag, value, bound))
     return results
 

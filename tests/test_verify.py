@@ -1,4 +1,4 @@
-import dataclasses
+import cmath
 import math
 import re
 
@@ -7,9 +7,11 @@ import pytest
 
 from cyclosc import algebra, verify
 from cyclosc.algebra import random_admissible_alpha, validate_params
-from cyclosc.coherent import build_cs
+from cyclosc.coherent import build_cs, build_states, eigen_residual, stack_coeffs
+from cyclosc.measure import unity_reconstruction
 from cyclosc.sga import build_sga
-from cyclosc.verify import CheckResult, SUITES, run_suites, suite_commutators, suite_cs
+from cyclosc.stats import _number_moments, quadrature_stats, uncertainty_rhs
+from cyclosc.verify import CheckResult, SUITES, mittag_leffler_check, run_suites, suite_commutators, suite_cs
 from cyclosc.verify import dense_number_moments, dense_operators, dense_quadrature_moments, dense_quadratures
 
 
@@ -24,12 +26,14 @@ def test_every_check_reports_a_finite_value_and_bound():
 
 def test_nan_moment_fails_dual_route(monkeypatch):
     # a NaN among the compared moments must not be dropped by the reduction
-    orig = verify.quadrature_stats
+    orig = verify._moments
 
-    def nan_var_p(cs, kind):
-        return dataclasses.replace(orig(cs, kind), var_p=math.nan)
+    def nan_var_p(stack, ladder, kind):
+        m = orig(stack, ladder, kind)
+        m[..., 1, 1] = math.nan
+        return m
 
-    monkeypatch.setattr(verify, "quadrature_stats", nan_var_p)
+    monkeypatch.setattr(verify, "_moments", nan_var_p)
     found = [r for r in suite_cs(seed=0) if r.name == "dual-route-expectations"]
     assert found
     assert not any(r.ok for r in found)
@@ -127,6 +131,130 @@ def test_shared_reference_matches_per_state_reference(lam):
                 got = verify._dense_lowered(ops, cs.coeffs)
                 assert got.shape == cs.coeffs.shape
                 assert np.max(np.abs(got - lowered)) <= 1e-15 * np.max(np.abs(lowered))
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_dense_helpers_on_a_stack_give_each_rows_result(lam):
+    # rows of different truncations, zero-padded onto one basis: each row's result is
+    # the one its vector gives alone on the leading block its size
+    for p in _param_draws(lam):
+        states = [cs for mu in range(lam) for cs in build_states(p, mu, (0.5, 2 + 1j, -3.0, 0.0))]
+        stack = stack_coeffs(states)
+        assert len({cs.coeffs.size for cs in states}) > 1
+        dense = dense_operators(p, stack.shape[1] - 1)
+        moments = {kind: dense_quadrature_moments(dense, stack, kind) for kind in ("dressed", "real")}
+        mean_n, square_n = dense_number_moments(dense, stack)
+        lowered = verify._dense_lowered(dense, stack)
+        assert lowered.shape == stack.shape
+        for i, cs in enumerate(states):
+            pairs = [(moments[kind][i].ravel(), vars(dense_quadrature_moments(dense, cs.coeffs, kind)).values())
+                     for kind in moments]
+            pairs.append(((mean_n[i], square_n[i]), dense_number_moments(dense, cs.coeffs)))
+            for got, want in pairs:
+                for g, w in zip(got, want, strict=True):
+                    assert abs(g - w) <= 1e-15 * abs(w)
+            alone = verify._dense_lowered(dense, cs.coeffs)
+            assert np.max(np.abs(lowered[i, :cs.coeffs.size] - alone)) <= 1e-15 * np.max(np.abs(alone))
+            assert not lowered[i, cs.coeffs.size:].any()
+
+
+def _suite_cs_per_state(seed):
+    # suite_cs one state at a time: a build_cs or build_states call per label, the
+    # production moments per state and the dense helpers on each state's own vector
+    results = []
+    add = results.append
+    rng = np.random.default_rng(seed)
+    lams = (2, 3, 4)
+    n_builtin = sum(len(verify._BUILTIN.get(lam, [])) for lam in lams)
+    for idx, (lam, alpha) in enumerate(verify._param_sets(seed, lams)):
+        params = validate_params(lam, alpha)
+        tag = verify._tag(lam, alpha)
+        builtin = idx < n_builtin
+        mus = range(lam) if builtin else [int(rng.integers(0, lam))]
+        zs = [0.5 + 0j, 2 + 1j, -3 + 0j] if builtin else [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))]
+        states = [cs for mu in mus for cs in build_states(params, mu, zs)]
+        dense = dense_operators(params, max(cs.n_max for cs in states))
+        for cs in states:
+            mu, z = cs.mu, cs.z
+            ztag = f"{tag} mu={mu} z={z}"
+            res = eigen_residual(cs)
+            add(verify._check("cs-eigen-residual", ztag, res, 1e-10))
+            w = verify._dense_lowered(dense, cs.coeffs) - lam * z * cs.coeffs
+            w[cs.n_max - lam + 1:] = 0.0
+            res2 = float(np.linalg.norm(w) / lam / max(abs(z), 1.0))
+            add(verify._check("cs-eigen-equivalent-form", ztag, abs(res2 - res), 1e-12))
+            add(verify._check("cs-unit-norm", ztag, abs(float(np.linalg.norm(cs.coeffs)) - 1.0),
+                              1e-12 + cs.tail_bound))
+            add(verify._check("cs-norm-crosscheck", ztag,
+                              abs(verify._brute_norm(params, mu, z) - cs.norm_factor) / cs.norm_factor, 1e-11))
+            k_probe = min(3, (cs.n_max - mu) // lam)
+            got = cmath.phase(cs.coeffs[k_probe * lam + mu])
+            head = cs.coeffs[mu]
+            dev = abs(cmath.exp(1j * (got - cmath.phase(z) * k_probe)) - 1.0)
+            add(verify._check("cs-phase-convention", ztag,
+                              dev if head.imag == 0.0 and head.real > 0 else math.inf, 1e-10))
+            mm = quadrature_stats(cs, "dressed")
+            ss = dense_quadrature_moments(dense, cs.coeffs, "dressed")
+            mean_n, var_n = _number_moments(cs)
+            sn, sn2 = dense_number_moments(dense, cs.coeffs)
+            add(verify._check("dual-route-expectations", ztag, [
+                *(abs(got - want) for got, want in zip(vars(mm).values(), vars(ss).values())),
+                abs(mean_n - sn), abs(var_n - (sn2 - sn * sn)),
+            ], 1e-11))
+            add(verify._check("uncertainty-product", ztag,
+                              uncertainty_rhs(params, mu) - mm.var_x * mm.var_p, 1e-10))
+            if lam == 2:
+                ref = verify._bessel_norm_lambda2(params.beta_bar[1] - 1.0 + mu, abs(z))
+                add(verify._check("cs-bessel-normalization", ztag,
+                                  abs(ref - cs.norm_factor) / cs.norm_factor, 1e-10))
+            if np.all(params.alpha == 0.0):
+                add(verify._check("cs-mittag-leffler-form", ztag, mittag_leffler_check(cs), 1e-12))
+        cs0, cs1 = stack_coeffs([build_cs(params, 0, 0.8 + 0.3j), build_cs(params, 1, 0.8 + 0.3j)])
+        add(verify._check("cs-sector-orthogonality", tag, abs(complex(np.vdot(cs0, cs1))), 0.0))
+        base, near = stack_coeffs(build_states(params, 0, (1.1 - 0.6j, 1.1 - 0.6j + 1e-6)))
+        add(verify._check("cs-label-continuity", tag, np.linalg.norm(near - base), 1e-4))
+        mu = 0 if builtin else int(rng.integers(0, lam))
+        m0 = quadrature_stats(build_cs(params, mu, 0.0), "dressed")
+        bb = params.beta_bar
+        want = (lam / 2.0) * (bb[mu + 1] + bb[mu])
+        mtag = f"{tag} mu={mu}"
+        add(verify._check("vacuum-dispersions", mtag, [abs(m0.var_x - want), abs(m0.var_p - want)], 1e-12))
+        gap = m0.var_x * m0.var_p - uncertainty_rhs(params, mu)
+        value, bound = (abs(gap), 1e-12) if mu == 0 else (-gap, -1e-6)
+        add(verify._check("vacuum-uncertainty-floor", mtag, value, bound))
+    return results
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_cs_suite_matches_the_per_state_loop(seed):
+    # the same checks in the same order; every value bit for bit except the dual
+    # route, whose two sides now read every state on the basis of the longest
+    stacked, per_state = suite_cs(seed=seed), _suite_cs_per_state(seed)
+    assert [(r.name, r.tag, r.bound) for r in stacked] == [(r.name, r.tag, r.bound) for r in per_state]
+    for got, want in zip(stacked, per_state):
+        if got.name == "dual-route-expectations":
+            assert abs(got.value - want.value) <= 1e-12, (got, want)
+        else:
+            assert got.value.hex() == want.value.hex(), (got, want)
+
+
+def test_one_undeformed_test_for_the_cs_suite_and_the_rebuilds(monkeypatch):
+    # alpha = 1e-10 is deformed for mittag_leffler_check and the photon weight, so the
+    # cs suite runs no Mittag-Leffler check for it rather than raising
+    alpha = [1e-10, -1e-10]
+    params = validate_params(2, alpha)
+    with pytest.raises(ValueError, match="requires alpha = 0"):
+        mittag_leffler_check(build_cs(params, 0, 1.0))
+    with pytest.raises(ValueError, match="requires alpha = 0"):
+        unity_reconstruction(params, "photon", 2)
+
+    monkeypatch.setattr(verify, "_BUILTIN", {2: [alpha]})
+    tag = verify._tag(2, alpha)
+    results = suite_cs(seed=0)
+    mine = [r for r in results if r.tag.startswith(tag + " ") or r.tag == tag]
+    assert sum(r.name == "cs-eigen-residual" for r in mine) == 6
+    assert not any(r.name == "cs-mittag-leffler-form" for r in mine)
+    assert all(r.ok for r in results)
 
 
 def _diagonal_factor_draws(lam):
