@@ -188,14 +188,27 @@ def stack_coeffs(states) -> np.ndarray:
     return out
 
 
-def eigen_residual(cs: CoherentState) -> float:
+def eigen_residual(states):
     """||J_- v - z v|| / max(|z|, 1) without the top sector level, whose J_- image
     lies past the truncation: the sector slice, up to its last nonzero entry, times
-    sqrt(J_+ J_-), whose overflow ladder_products names (from lambda = 136 at alpha = 0, |z| = 1)."""
-    lam, mu = cs.params.lam, cs.mu
-    d = cs.coeffs[mu::lam]
-    top = int(np.flatnonzero(d)[-1])
-    amp = np.sqrt(ladder_products(cs.params, top * lam + mu)[mu + lam::lam])
-    w = -cs.z * d[:-1]
-    w[:top] += amp * d[1:top + 1]
-    return float(np.linalg.norm(w) / max(abs(cs.z), 1.0))
+    sqrt(J_+ J_-), whose overflow ladder_products names (from lambda = 136 at alpha = 0, |z| = 1).
+
+    One state gives a float.  A list of states of one parameter set gives the list of
+    their residuals from one J_+ J_- diagonal, read at the highest level among them: an
+    entry of ladder_products does not depend on the diagonal's length, so each residual is
+    bit for bit its state's own, and an overflow names the list's top level."""
+    one = isinstance(states, CoherentState)
+    states = [states] if one else list(states)
+    params, lam = states[0].params, states[0].params.lam
+    if any(cs.params is not params for cs in states):
+        raise ValueError("eigen_residual takes the states of one parameter set")
+    slices = [cs.coeffs[cs.mu::lam] for cs in states]
+    tops = [int(np.flatnonzero(d)[-1]) for d in slices]
+    prods = ladder_products(params, max(top * lam + cs.mu for cs, top in zip(states, tops)))
+    residuals = []
+    for cs, d, top in zip(states, slices, tops):
+        amp = np.sqrt(prods[cs.mu + lam:top * lam + cs.mu + 1:lam])
+        w = -cs.z * d[:-1]
+        w[:top] += amp * d[1:top + 1]
+        residuals.append(float(np.linalg.norm(w) / max(abs(cs.z), 1.0)))
+    return residuals[0] if one else residuals

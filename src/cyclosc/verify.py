@@ -5,18 +5,34 @@ matrices, their lambda-th powers and quadratic forms (production forms none),
 the coherent-state norm summed term by term, and the alpha = 0 state rebuilt
 from its Mittag-Leffler form.
 
-On a shorter truncation a, a†, b, b†, N, P_mu, x and p are leading blocks of
-the longer ones (h0 is not: its a a† half has the truncation artifact in its last
-row), so the dense helpers read the block the size of their vectors, one vector or
-a stack of rows, applying powers as chains of products.  suite_cs checks one stack
-per parameter set: every state the set needs comes from one build_states call per
-sector, and its checked states and the z = 0 vacuum, zero-padded onto the basis of
-the longest, go through one production moment pass and one dense reference at that
-width.
+dense_operators forms a and a†; N, b, b†, the P_mu and h0 are formed when read, so
+a check forms only what it compares.  On a shorter truncation a, a†, b, b†, N, P_mu,
+x and p are leading blocks of the longer ones (h0 is not: its a a† half has the
+truncation artifact in its last row), so the dense helpers read the block the size of
+their vectors, one vector or a stack of rows, applying powers as chains of products.
+suite_cs checks one stack per parameter set: every state the set needs comes from one
+build_states call per sector, and its checked states and the z = 0 vacuum, zero-padded
+onto the basis of the longest, go through one production moment pass, one eigen_residual
+call and one dense reference at that width.
+
+suite_commutators and suite_sga check the parameter sets of one lambda, which share
+extraction_n_max, together: dense_operators stacks their a and a† along a leading
+axis, and each check is one array expression over the stack (the matmuls, the
+matrix_power lambda-th powers, the einsum diagonals, the sector polyval, np.std),
+reduced to one value per set; what depends on lambda alone (the P_mu diagonals and
+their algebra, the canonical x and p) is formed once for every stack of that lambda.
+validate_params, build_fock_rep, build_sga and the random draws stay per set, and the
+results come out in the per-set order, each value bit for bit the one its set gives
+alone.  A stack holds at most _STACK_ENTRIES = 2^13 entries per stacked matrix, so
+lambda = 2 and 3 run as whole groups, lambda = 4 in stacks of two and lambda = 5 one
+set a stack.  With one unbounded stack per lambda the temporaries raised the verify
+benchmark's peak RSS from 63.2 MB to 66.0-67.7 MB, against a 5% bound of 66.4 MB,
+and the suites' tracemalloc peaks from 1.1 and 0.5 MB to 3.0 and 2.3 MB.
 
 N, P_mu, the lambda = 2 parity K and h0 are diagonal, so a product with one of
 them as a factor is formed as a row or column scaling, d[:, None] * M or M * d,
-and a product read only on its diagonal (J_- J_+, J_+ J_-) as an einsum of
+a diagonal target (I + sum_mu alpha_mu P_mu) is compared as a vector, and a product
+read only on its diagonal (J_- J_+, J_+ J_-, the a a† + a† a of h0) as an einsum of
 its diagonal entries.  Each matmul entry there sums exactly one nonzero term,
 so both forms are the matmul bit for bit; sum P_mu = I stays a dense comparison.
 
@@ -70,6 +86,7 @@ _BUILTIN = {
 }
 _RANDOM_DRAWS = 20  # seeded admissible draws per suite, after the built-in sets
 _TINY = np.finfo(float).tiny
+_STACK_ENTRIES = 2 ** 13  # entries per stacked matrix in suite_commutators and suite_sga
 
 
 @dataclass(frozen=True)
@@ -120,25 +137,63 @@ def extraction_n_max(lam: int) -> int:
     return 3 * lam * lam + 2 * lam
 
 
-DenseOperators = namedtuple("DenseOperators", "params n_max n_op a a_dag b b_dag projectors h0")
+class DenseOperators(namedtuple("DenseOperators", "params lam n_max a a_dag")):
+    """The operator matrices on |0> ... |n_max> of dense_operators, which forms a and a†:
+    for a stack of parameter sets (params then their tuple), one matrix per set along a
+    leading axis.  N, b, b†, the P_mu and h0 are formed on each read, as new arrays, so
+    a check reads only what it compares; N, b, b† and the P_mu depend on lambda alone."""
+
+    __slots__ = ()
+
+    @property
+    def n_op(self):
+        return np.diag(np.arange(self.n_max + 1, dtype=float))
+
+    @property
+    def b(self):
+        return np.diag(np.sqrt(np.arange(1, self.n_max + 1)), 1)
+
+    @property
+    def b_dag(self):
+        return self.b.T.copy()
+
+    @property
+    def projectors(self):
+        """P_mu for mu = 0..lambda-1, from one residue mask."""
+        mask = np.arange(self.n_max + 1) % self.lam == np.arange(self.lam)[:, None]
+        return tuple(np.diag(row.astype(float)) for row in mask)
+
+    @property
+    def h0(self):
+        """h0 = (a a† + a† a)/2: two dense products."""
+        return 0.5 * (self.a @ self.a_dag + self.a_dag @ self.a)
+
+    @property
+    def h0_diagonal(self):
+        """The diagonal of h0 as einsums of the two products' diagonal entries, each of
+        which sums one nonzero term, so bit for bit the diagonal of h0."""
+        return 0.5 * (np.einsum("...ij,...ji->...i", self.a, self.a_dag)
+                      + np.einsum("...ij,...ji->...i", self.a_dag, self.a))
 
 
 def dense_operators(params, n_max: int) -> DenseOperators:
-    """Every operator matrix on |0> ... |n_max>: the deformed (a) and canonical (b)
-    ladder pairs, their superdiagonals from one structure_function call, N, the P_mu
-    from one residue mask and h0 = (a a† + a† a)/2.  Products with a a† are
-    truncation artifacts in the last row, so on a shorter truncation every matrix
-    but h0 is the leading block of this one."""
-    dim = n_max + 1
-    levels = np.arange(1, dim)
-    a = np.diag(np.sqrt(algebra.structure_function(params, levels)), 1)
-    b = np.diag(np.sqrt(levels), 1)
-    a_dag, b_dag = a.T.copy(), b.T.copy()
-    n_op = np.diag(np.arange(dim, dtype=float))
-    mask = np.arange(dim) % params.lam == np.arange(params.lam)[:, None]
-    projectors = tuple(np.diag(row.astype(float)) for row in mask)
-    h0 = 0.5 * (a @ a_dag + a_dag @ a)
-    return DenseOperators(params, n_max, n_op, a, a_dag, b, b_dag, projectors, h0)
+    """The deformed ladder pair a, a† on |0> ... |n_max>, its superdiagonal from one
+    structure_function call per parameter set, with N, the canonical pair b, b†, the P_mu
+    and h0 = (a a† + a† a)/2 formed when read.  params is one AlgebraParams or a sequence
+    of them sharing lambda, whose a and a† are then stacked.  Products with a a† are
+    truncation artifacts in the last row, so on a shorter truncation every matrix but h0
+    is the leading block of this one."""
+    single = isinstance(params, algebra.AlgebraParams)
+    sets = (params,) if single else tuple(params)
+    if len({p.lam for p in sets}) != 1:
+        raise ValueError("a stack of parameter sets must share one lambda")
+    levels = np.arange(1, n_max + 1)
+    a = np.zeros((len(sets), n_max + 1, n_max + 1))
+    a[:, levels - 1, levels] = np.sqrt([algebra.structure_function(p, levels) for p in sets])
+    a_dag = a.transpose(0, 2, 1).copy()
+    if single:
+        return DenseOperators(params, params.lam, n_max, a[0], a_dag[0])
+    return DenseOperators(sets, sets[0].lam, n_max, a, a_dag)
 
 
 def dense_quadratures(ops: DenseOperators, kind="dressed"):
@@ -186,7 +241,7 @@ def _dense_lowered(ops: DenseOperators, coeffs):
     with the leading block of a its size."""
     w = np.asarray(coeffs)
     a_t = ops.a[:w.shape[-1], :w.shape[-1]].T
-    for _ in range(ops.params.lam):
+    for _ in range(ops.lam):
         w = w @ a_t
     return w
 
@@ -218,131 +273,201 @@ def mittag_leffler_check(cs: CoherentState) -> float:
 # ---------------------------------------------------------------------------
 # suites
 
+def _stacks(params):
+    """The indices of the parameter sets grouped by lambda, which fixes extraction_n_max,
+    in stacks of at most _STACK_ENTRIES entries per stacked matrix (one set at least)."""
+    groups = {}
+    for k, p in enumerate(params):
+        groups.setdefault(p.lam, []).append(k)
+    for lam, idx in groups.items():
+        size = max(1, _STACK_ENTRIES // (extraction_n_max(lam) + 1) ** 2)
+        for start in range(0, len(idx), size):
+            yield idx[start:start + size]
+
+
+def _add_stack(rows, tags, name, devs, bound):
+    """Append to each set's row of results its CheckResult: devs is an array with the
+    stack on axis 0, or an iterable of them, each reduced per set to its largest entry as
+    it comes, and their maxima to one value per set; max keeps a NaN, as in _check."""
+    parts = [d.max(axis=tuple(range(1, d.ndim))) for d in ([devs] if isinstance(devs, np.ndarray) else devs)]
+    values = parts[0] if len(parts) == 1 else np.max(parts, axis=0)
+    for row, tag, value in zip(rows, tags, values.tolist()):
+        row.append(CheckResult(name, tag, value, float(bound)))
+
+
 def suite_commutators(seed: int = 12345):
-    results = []
-    add = results.append
+    sets = _param_sets(seed)
+    params = [validate_params(lam, alpha) for lam, alpha in sets]
     rng = np.random.default_rng(seed)
-    for lam, alpha in _param_sets(seed):
-        params = validate_params(lam, alpha)
-        n_max = extraction_n_max(lam)
-        fock = dense_operators(params, n_max)
-        dim = n_max + 1
-        top = slice(0, n_max)  # rows/cols free of the a a† truncation artifact
-        tag = _tag(lam, alpha)
+    draws = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
+             for n in (extraction_n_max(lam) + 1 for lam, _ in sets)]
+    results = [[] for _ in sets]
+    shared = {}
+    for idx in _stacks(params):
+        _commutator_checks([params[k] for k in idx], [draws[k] for k in idx],
+                           partial(_add_stack, [results[k] for k in idx], [_tag(*sets[k]) for k in idx]), shared)
+    return [r for row in results for r in row]
 
-        # the shift the moment kernel runs, x v and p v, against the dense matrices
-        ladder = algebra.build_fock_rep(params, n_max)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        add(_check("ladder-dense-agreement", tag, [
-            np.max(np.abs(got - want)) / np.max(np.abs(want))
-            for kind in ("dressed", "real")
-            for got, want in zip(_quadratures(v[None], _stencil(ladder, kind)),
-                                 (op @ v for op in dense_quadratures(fock, kind)))
-        ], 1e-15))
 
-        a_dag_a = fock.a_dag @ fock.a
-        comm = fock.a @ fock.a_dag - a_dag_a
-        target = np.eye(dim) + sum(params.alpha[mu] * fock.projectors[mu] for mu in range(lam))
-        add(_check("commutator-identity", tag, np.abs(comm - target)[top, top], 1e-12))
+def _lambda_reference(fock: DenseOperators):
+    """What the commutators checks compare that depends on lambda alone: the P_mu
+    diagonals, the projector-algebra deviation, the diagonals of N and b and the
+    canonical pair's x and p."""
+    lam, dim = fock.lam, fock.n_max + 1
+    projectors = fock.projectors
+    proj = np.array([np.diag(pm) for pm in projectors])
+    # P_mu P_nu - delta_mu,nu P_mu is zero off the diagonal; sum P_mu = I stays dense
+    projector_algebra = max(
+        np.max(np.abs(sum(projectors) - np.eye(dim))),
+        np.max(np.abs(proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None])),
+    )
+    return proj, projector_algebra, np.diag(fock.n_op), np.diag(fock.b, 1), dense_quadratures(fock, "real")
 
-        # N, P_mu and K are diagonal: D M is the row scaling d[:, None] * M and M D
-        # the column scaling M * d, the one nonzero term of each matmul entry
-        proj = np.array([np.diag(pm) for pm in fock.projectors])
-        add(_check("projector-shift", tag, [
-            np.max(np.abs(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag))
-            for mu in range(lam)
-        ], 0.0))
 
-        # P_mu P_nu - delta_mu,nu P_mu is zero off the diagonal; sum P_mu = I stays dense
-        add(_check("projector-algebra", tag, [
-            np.max(np.abs(sum(fock.projectors) - np.eye(dim))),
-            np.max(np.abs(proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None])),
-        ], 0.0))
+def _commutator_checks(stack, draws, add, shared):
+    """suite_commutators on one stack of parameter sets sharing lambda, draws holding each
+    set's random vector; add(name, devs, bound) records one result per set.  shared keeps
+    the _lambda_reference of the last lambda, which the next stack of that lambda reuses."""
+    lam = stack[0].lam
+    n_max = extraction_n_max(lam)
+    fock = dense_operators(stack, n_max)
+    if lam not in shared:
+        shared.clear()
+        shared[lam] = _lambda_reference(fock)
+    proj, projector_algebra, n_diag, b_sup, real_quadratures = shared[lam]
+    dim = n_max + 1
+    top = (slice(None), slice(0, n_max), slice(0, n_max))  # free of the a a† truncation artifact
+    d = np.arange(n_max)  # the diagonal of that block
 
-        n_diag = np.diag(fock.n_op)
-        add(_check("number-commutators", tag, [
-            np.max(np.abs(n_diag[:, None] * fock.a_dag - fock.a_dag * n_diag - fock.a_dag)[top, top]),
-            np.max(np.abs(n_diag[:, None] * fock.a - fock.a * n_diag + fock.a)[top, top]),
-        ], 1e-12))
+    # the shift the moment kernel runs, x v and p v, against the dense matrices
+    ladders = [algebra.build_fock_rep(p, n_max) for p in stack]
+    v = np.array(draws)[..., None]
+    devs = []
+    for kind in ("dressed", "real"):
+        got = np.array([_quadratures(u[None], _stencil(ladder, kind)) for u, ladder in zip(draws, ladders)])
+        for j, op in enumerate(dense_quadratures(fock, kind) if kind == "dressed" else real_quadratures):
+            want = (op @ v)[..., 0]
+            devs.append(np.max(np.abs(got[:, j] - want), axis=1) / np.max(np.abs(want), axis=1))
+    add("ladder-dense-agreement", devs, 1e-15)
 
-        # F(n) > 0 for n >= 1, stated as -F <= -tiny so that F = 0 fails
-        levels = np.arange(1, dim)
-        fs = algebra.structure_function(params, levels)
-        add(_check("structure-positivity", tag, -fs, -_TINY))
+    # the targets of [a, a†] are diagonal: off it the deviation is |[a, a†]|, on it a vector
+    a_dag_a = fock.a_dag @ fock.a
+    comm = fock.a @ fock.a_dag - a_dag_a
+    off = np.abs(comm[top])
+    off[:, d, d] = 0.0
+    off = np.max(off, axis=(1, 2))
+    on = comm[:, d, d]
+    alpha = np.array([p.alpha for p in stack])
+    add("commutator-identity", [off, np.abs(on - (1.0 + alpha[:, d % lam]))], 1e-12)
 
-        add(_check("dressed-ladder-relation", tag,
-                   np.abs(np.diag(fock.a, 1) - np.diag(fock.b, 1) * np.sqrt(fs / levels)), 1e-13))
+    # N, P_mu and K are diagonal: D M is the row scaling d[:, None] * M and M D
+    # the column scaling M * d, the one nonzero term of each matmul entry
+    add("projector-shift", (
+        np.abs(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag) for mu in range(lam)
+    ), 0.0)
+    add("projector-algebra", np.full(len(stack), projector_algebra), 0.0)
 
-        # the exact diagonal squares the superdiagonal as x * x, the one nonzero product
-        # the matmul sums per entry; the bound leaves a few ulp for the BLAS
-        diag = np.diag(a_dag_a)
-        exact = np.concatenate([[0.0], np.diag(fock.a, 1) ** 2])
-        add(_check("number-diagonal", tag, np.abs(diag - exact) / np.maximum(np.abs(exact), _TINY),
-                   4.0 * np.finfo(float).eps))
+    # [N, a†] = a† and [N, a] = -a
+    add("number-commutators", (
+        np.abs(n_diag[:, None] * op - op * n_diag - sign * op)[top] for op, sign in ((fock.a_dag, 1.0), (fock.a, -1.0))
+    ), 1e-12)
 
-        add(_check("energy-diagonal", tag, np.abs(np.diag(fock.h0)[top] - energy(params, np.arange(n_max))), 1e-12))
+    # F(n) > 0 for n >= 1, stated as -F <= -tiny so that F = 0 fails
+    levels = np.arange(1, dim)
+    fs = np.array([algebra.structure_function(p, levels) for p in stack])
+    add("structure-positivity", -fs, -_TINY)
 
-        if lam == 2:
-            parity = (-1.0) ** np.arange(dim)
-            add(_check("parity-anticommutation", tag,
-                       np.abs(parity[:, None] * fock.a_dag + fock.a_dag * parity), 0.0))
-            add(_check("parity-commutator-form", tag,
-                       np.abs(comm - np.eye(dim) - params.alpha[0] * np.diag(parity))[top, top], 1e-12))
-    return results
+    sup = np.diagonal(fock.a, 1, -2, -1)
+    add("dressed-ladder-relation", np.abs(sup - b_sup * np.sqrt(fs / levels)), 1e-13)
+
+    # the exact diagonal squares the superdiagonal as x * x, the one nonzero product
+    # the matmul sums per entry; the bound leaves a few ulp for the BLAS
+    exact = np.concatenate([np.zeros((len(stack), 1)), sup ** 2], axis=1)
+    add("number-diagonal", np.abs(np.diagonal(a_dag_a, 0, -2, -1) - exact) / np.maximum(np.abs(exact), _TINY),
+        4.0 * np.finfo(float).eps)
+
+    energies = np.array([energy(p, d) for p in stack])
+    add("energy-diagonal", np.abs(fock.h0_diagonal[:, :n_max] - energies), 1e-12)
+
+    if lam == 2:
+        parity = (-1.0) ** np.arange(dim)
+        add("parity-anticommutation", np.abs(parity[:, None] * fock.a_dag + fock.a_dag * parity), 0.0)
+        add("parity-commutator-form", [off, np.abs(on - 1.0 - alpha[:, :1] * parity[d])], 1e-12)
 
 
 def suite_sga(seed: int = 12345):
-    results = []
-    add = results.append
-    for lam, alpha in _param_sets(seed):
-        params = validate_params(lam, alpha)
-        n_max = extraction_n_max(lam)
-        fock = dense_operators(params, n_max)
-        j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
-        j_minus = np.linalg.matrix_power(fock.a, lam) / lam
-        j_zero = np.diag(fock.h0) / lam  # h0 is diagonal: J_0 scales rows and columns
-        tag = _tag(lam, alpha)
+    sets = _param_sets(seed)
+    params = [validate_params(lam, alpha) for lam, alpha in sets]
+    results = [[] for _ in sets]
+    for idx in _stacks(params):
+        _sga_checks([params[k] for k in idx], [results[k] for k in idx], [_tag(*sets[k]) for k in idx])
+    return [r for row in results for r in row]
 
-        # relative to the largest |J_+| entry of the block, which grows like n^lambda / lambda
-        inner = (slice(0, n_max - lam),) * 2
-        add(_check("j0-ladder-commutator", tag, np.abs(j_zero[:, None] * j_plus - j_plus * j_zero - j_plus)[inner]
-                   / np.max(np.abs(j_plus[inner])), 1e-13))
-        add(_check("jminus-annihilates-sector-floor", tag, np.linalg.norm(j_minus[:, :lam], axis=0), 0.0))
 
+def _sga_checks(stack, rows, tags):
+    """suite_sga on one stack of parameter sets sharing lambda, appending each set's
+    results to its row."""
+    lam = stack[0].lam
+    n_max = extraction_n_max(lam)
+    fock = dense_operators(stack, n_max)
+    j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
+    j_minus = np.linalg.matrix_power(fock.a, lam) / lam
+    j_zero = fock.h0_diagonal / lam  # h0 is diagonal: J_0 scales rows and columns
+    add = partial(_add_stack, rows, tags)
+
+    # relative to the largest |J_+| entry of the block, which grows like n^lambda / lambda
+    inner = (slice(None),) + (slice(0, n_max - lam),) * 2
+    scale = np.max(np.abs(j_plus[inner]), axis=(1, 2))[:, None, None]
+    add("j0-ladder-commutator",
+        np.abs(j_zero[:, :, None] * j_plus - j_plus * j_zero[:, None] - j_plus)[inner] / scale, 1e-13)
+    add("jminus-annihilates-sector-floor", np.linalg.norm(j_minus[..., :lam], axis=-2), 0.0)
+
+    # J_- J_+ and J_+ J_- are read on their diagonals only, one nonzero term per entry
+    g = np.einsum("...ij,...ji->...i", j_minus, j_plus)
+    g_plus = np.einsum("...ij,...ji->...i", j_plus, j_minus)
+    polys = {}
+    for j, (row, tag, p) in enumerate(zip(rows, tags, stack)):
         try:
-            poly = build_sga(params)
+            polys[j] = build_sga(p)
         except RuntimeError as exc:
-            add(CheckResult("polynomial-extraction", f"{tag} {exc}", math.inf, 1e-8))
-            continue
-        add(_check("polynomial-extraction", tag, [poly.f_residual, poly.h_residual], 1e-8))
+            row.append(CheckResult("polynomial-extraction", f"{tag} {exc}", math.inf, 1e-8))
+    # a set whose extraction failed has no further checks
+    keep = list(polys)
+    if not keep:
+        return
+    stack, polys = [stack[j] for j in keep], list(polys.values())
+    g, g_plus, j_zero = g[keep], g_plus[keep], j_zero[keep]
+    add = partial(_add_stack, [rows[j] for j in keep], [tags[j] for j in keep])
+    add("polynomial-extraction", [np.array([poly.f_residual for poly in polys]),
+                                  np.array([poly.h_residual for poly in polys])], 1e-8)
 
-        # Casimir constant across k = 0..3 per sector (row mu: levels k lam + mu), from the
-        # matrices; J_- J_+ is read on its diagonal only, one nonzero term per entry
-        g = np.einsum("ij,ji->i", j_minus, j_plus)
-        ns = np.arange(4) * lam + np.arange(lam)[:, None]
-        add(_check("casimir-constancy", tag, np.std(g[ns] + _sector_polyval(params, ns, poly.t), axis=1)
-                   / np.maximum(1.0, np.max(np.abs(g[ns]), axis=1)), 1e-9))
+    # J_0 = E(n) / lambda on the levels k lambda + mu (row mu), k < 2 lambda: clear of n_max,
+    # k = 0 the lowest level of each sector, k < 4 those of the Casimir check
+    ns = np.arange(2 * lam) * lam + np.arange(lam)[:, None]
+    x = np.array([energy(p, ns) for p in stack]) / lam
 
-        add(_check("lowest-j0-eigenvalue", tag, np.abs(j_zero[:lam] - energy(params, np.arange(lam)) / lam), 1e-12))
+    # Casimir constant across k = 0..3 per sector
+    g_low = g[:, ns[:, :4]]
+    casimir = g_low + _sector_polyval(x[..., :4], np.array([poly.t for poly in polys]))
+    add("casimir-constancy", np.std(casimir, axis=-1) / np.maximum(1.0, np.max(np.abs(g_low), axis=-1)), 1e-9)
 
-        cf = closed_forms(params)
-        if cf is not None:
-            add(_check("closed-form-match", tag, [
-                np.max(np.abs(got - want)) for got, want in zip((poly.s, poly.t, poly.c), cf)
-            ], 1e-9))
+    add("lowest-j0-eigenvalue", np.abs(j_zero[:, :lam] - x[..., 0]), 1e-12)
 
-        # diag [J_+, J_-] against f(J_0) on the levels k lam + mu, k < 2 lam, clear of n_max
-        ns = np.arange(2 * lam) * lam + np.arange(lam)[:, None]
-        comm = (np.einsum("ij,ji->i", j_plus, j_minus) - g)[ns]
-        add(_check("generator-consistency", tag,
-                   np.abs(comm - _sector_polyval(params, ns, poly.s)) / np.maximum(1.0, np.abs(comm)), 1e-9))
-    return results
+    cfs = [closed_forms(p) for p in stack]
+    if cfs[0] is not None:  # lambda = 2 and 3
+        got = [np.array([getattr(poly, f) for poly in polys]) for f in "stc"]
+        add("closed-form-match", [np.abs(y - np.array(want)) for y, want in zip(got, zip(*cfs))], 1e-9)
+
+    # diag [J_+, J_-] against f(J_0)
+    comm = (g_plus - g)[:, ns]
+    f = _sector_polyval(x, np.array([poly.s for poly in polys]))
+    add("generator-consistency", np.abs(comm - f) / np.maximum(1.0, np.abs(comm)), 1e-9)
 
 
-def _sector_polyval(params, ns, coeffs):
-    """Row mu of coeffs (ascending in J_0) at J_0 = E(n) / lambda for row mu of the levels ns:
-    one polyval over every sector, with the per-sector call's arithmetic."""
-    return np.polynomial.polynomial.polyval(energy(params, ns) / params.lam, coeffs.T[:, :, None], tensor=False)
+def _sector_polyval(x, coeffs):
+    """Row mu of coeffs[k] (ascending in J_0) at row mu of x[k], for a stack of parameter
+    sets k: one polyval over every set and sector, with the per-sector call's arithmetic."""
+    return np.polynomial.polynomial.polyval(x, np.moveaxis(coeffs, -1, 0)[..., None], tensor=False)
 
 
 def _brute_norm(params, mu, z):
@@ -418,11 +543,11 @@ def suite_cs(seed: int = 12345):
         dense_moments = dense_quadrature_moments(dense, stack, "dressed")
         dense_n, dense_n2 = dense_number_moments(dense, stack)
         lowered = _dense_lowered(dense, stack)
-        for i, cs in enumerate(states):
+        residuals = eigen_residual(states)
+        for i, (cs, res) in enumerate(zip(states, residuals)):
             mu, z = cs.mu, cs.z
             ztag = f"{tag} mu={mu} z={z}"
 
-            res = eigen_residual(cs)
             add(_check("cs-eigen-residual", ztag, res, 1e-10))
 
             w = lowered[i, :cs.coeffs.size] - lam * z * cs.coeffs

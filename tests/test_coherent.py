@@ -121,6 +121,31 @@ def test_ladder_product_overflow_is_named():
     assert mittag_leffler_check(cs) <= 1e-12
 
 
+@pytest.mark.parametrize("lam", [2, 3, 4, 5])
+def test_eigen_residual_of_a_list_is_each_states_own(lam):
+    # one J_+ J_- diagonal for the list, read at its top level, gives every state's residual
+    for p in (validate_params(lam, [0.0] * lam),
+              validate_params(lam, random_admissible_alpha(lam, np.random.default_rng([lam, 25])))):
+        states = [build_cs(p, mu, z) for mu in range(lam) for z in (0.0, 0.5, 2 + 1j, -3.0, 0.3 - 4j)]
+        assert len({cs.n_max for cs in states}) > 1
+        got = eigen_residual(states)
+        assert isinstance(got, list) and all(isinstance(r, float) for r in got)
+        assert [r.hex() for r in got] == [eigen_residual(cs).hex() for cs in states]
+        assert eigen_residual(states[3:4]) == [eigen_residual(states[3])]
+
+
+def test_eigen_residual_of_a_list_names_its_top_level():
+    # alone, the z = 0 state reads no product above level lambda; in a list the overflow
+    # names the level of the list's longest sector slice
+    p = validate_params(150, [0.0] * 150)
+    low, high = build_cs(p, 0, 0.0), build_cs(p, 0, 1.0)
+    assert eigen_residual(low) == 0.0
+    with pytest.raises(RuntimeError, match=r"^J_\+ J_- overflows double precision at lambda = 150, level 300$"):
+        eigen_residual([low, high])
+    with pytest.raises(ValueError, match="one parameter set"):
+        eigen_residual([low, build_cs(validate_params(150, [0.0] * 150), 0, 0.0)])
+
+
 def test_mittag_leffler_check_at_large_sector_labels():
     # z = 0 is |mu> exactly, however large Gamma(mu + 1) is
     assert mittag_leffler_check(build_cs(validate_params(150, [0.0] * 150), 149, 0)) == 0.0

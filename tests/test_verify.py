@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,12 +104,22 @@ def _dense_operators_per_level(params, n_max):
 
 @pytest.mark.parametrize("lam", [2, 3, 4, 5])
 def test_dense_operators_equal_the_per_level_loop(lam):
-    for p in _param_draws(lam):
-        for n_max in (lam, 3 * lam * lam + 2 * lam):
+    draws = _param_draws(lam)
+    for n_max in (lam, 3 * lam * lam + 2 * lam):
+        for p in draws:
             ops = dense_operators(p, n_max)
             got = (ops.n_op, ops.a, ops.a_dag, ops.b, ops.b_dag, ops.projectors, ops.h0)
             for g, w in zip(got, _dense_operators_per_level(p, n_max)):
                 assert np.array_equal(g, w)
+        # a stack holds each set's own a and a† along its leading axis
+        stack = dense_operators(draws, n_max)
+        assert stack.params == tuple(draws) and stack.a.shape == (len(draws), n_max + 1, n_max + 1)
+        for k, p in enumerate(draws):
+            own = dense_operators(p, n_max)
+            assert np.array_equal(stack.a[k], own.a) and np.array_equal(stack.a_dag[k], own.a_dag)
+            assert np.array_equal(stack.h0[k], own.h0)
+    with pytest.raises(ValueError, match="share one lambda"):
+        dense_operators([draws[0], validate_params(lam + 1, [0.0] * (lam + 1))], 3 * lam * lam + 2 * lam)
 
 
 @pytest.mark.parametrize("lam", [2, 3, 4])
@@ -295,22 +306,99 @@ def test_diagonal_factor_scalings_equal_the_matmuls(lam):
 @pytest.mark.parametrize("lam", [2, 3, 4, 5])
 def test_diagonal_reads_and_sector_polyval_equal_the_dense_forms(lam):
     polyval = np.polynomial.polynomial.polyval
-    for fock in _diagonal_factor_draws(lam):
+    focks = _diagonal_factor_draws(lam)
+    for fock in focks:
         j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
         j_minus = np.linalg.matrix_power(fock.a, lam) / lam
         g = np.einsum("ij,ji->i", j_minus, j_plus)
         assert np.array_equal(g, np.diag(j_minus @ j_plus))
         assert np.array_equal(np.einsum("ij,ji->i", j_plus, j_minus) - g,
                               np.diag(j_plus @ j_minus - j_minus @ j_plus))
+        assert np.array_equal(fock.h0_diagonal, np.diag(fock.h0))
+    stack = dense_operators([fock.params for fock in focks], verify.extraction_n_max(lam))
+    assert np.array_equal(stack.h0_diagonal, [np.diag(fock.h0) for fock in focks])
 
-        params = fock.params
-        poly = build_sga(params)
-        for coeffs, ks in ((poly.t, 4), (poly.s, 2 * lam)):
-            ns = np.arange(ks) * lam + np.arange(lam)[:, None]
-            rows = verify._sector_polyval(params, ns, coeffs)
-            loop = [polyval(algebra.energy(params, n) / lam, coeffs[mu]) for mu, n in enumerate(ns)]
-            assert np.array_equal(rows, loop)
-        # casimir-constancy's row-wise std is the per-sector one
-        ns = np.arange(4) * lam + np.arange(lam)[:, None]
-        vals = g[ns] + verify._sector_polyval(params, ns, poly.t)
-        assert np.array_equal(np.std(vals, axis=1), [np.std(row) for row in vals])
+    # one polyval over a stack of sets and every sector, J_0 on the levels k lam + mu, k < 2 lam
+    params = stack.params
+    polys = [build_sga(p) for p in params]
+    ns = np.arange(2 * lam) * lam + np.arange(lam)[:, None]
+    x = np.array([algebra.energy(p, ns) for p in params]) / lam
+    for field, ks in (("t", 4), ("s", 2 * lam)):
+        coeffs = np.array([getattr(poly, field) for poly in polys])
+        rows = verify._sector_polyval(x[..., :ks], coeffs)
+        loop = [[polyval(algebra.energy(p, n) / lam, c[mu]) for mu, n in enumerate(ns[:, :ks])]
+                for p, c in zip(params, coeffs)]
+        assert np.array_equal(rows, loop)
+    # casimir-constancy's row-wise std over a stack is the per-sector one
+    j_minus, j_plus = (np.linalg.matrix_power(m, lam) / lam for m in (stack.a, stack.a_dag))
+    g = np.einsum("...ij,...ji->...i", j_minus, j_plus)
+    vals = g[:, ns[:, :4]] + verify._sector_polyval(x[..., :4], np.array([poly.t for poly in polys]))
+    assert np.array_equal(np.std(vals, axis=-1), [[np.std(row) for row in rows_k] for rows_k in vals])
+
+
+def test_stacks_group_equal_lambda_sets_under_the_cap():
+    # lambda = 2 and 3 run as whole groups, lambda = 4 in stacks of two, lambda = 5 one set a stack
+    params = [validate_params(lam, al) for lam, al in verify._param_sets(0)]
+    stacks = list(verify._stacks(params))
+    assert [(params[idx[0]].lam, len(idx)) for idx in stacks] == [
+        (2, 9), (3, 7), (4, 2), (4, 2), (4, 2), (4, 1), (5, 1), (5, 1), (5, 1), (5, 1), (5, 1), (5, 1)]
+    assert sorted(k for idx in stacks for k in idx) == list(range(len(params)))
+    assert all(len({params[k].lam for k in idx}) == 1 for idx in stacks)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_suites_match_one_set_a_stack(seed, monkeypatch):
+    # a stack computes each set's checks as that set alone would: with a cap that holds
+    # one set a stack, every CheckResult is the same, in the same order, bit for bit
+    def key(results):
+        return [(r.name, r.tag, r.bound, r.value.hex()) for r in results]
+
+    stacked = {name: key(SUITES[name](seed=seed)) for name in ("commutators", "sga")}
+    monkeypatch.setattr(verify, "_STACK_ENTRIES", 1)
+    params = [validate_params(lam, al) for lam, al in verify._param_sets(seed)]
+    assert all(len(idx) == 1 for idx in verify._stacks(params))
+    for name, want in stacked.items():
+        assert key(SUITES[name](seed=seed)) == want, name
+
+
+def test_failed_extraction_ends_only_its_sets_checks(monkeypatch):
+    # a build_sga failure is its set's last check, both inside a stack (lambda = 3, whose
+    # seven sets form one) and in a stack of one (every lambda = 5 set); every other
+    # check is unchanged
+    failing = verify._tag(3, [-0.5, 0.25, 0.25])
+    orig = verify.build_sga
+
+    def fail_some(params):
+        if params.lam == 5 or verify._tag(3, params.alpha) == failing:
+            raise RuntimeError("no fit")
+        return orig(params)
+
+    def others(results):
+        return [(r.name, r.tag, r.value.hex()) for r in results if r.tag.removesuffix(" no fit") not in failed]
+
+    want = verify.suite_sga(seed=0)
+    monkeypatch.setattr(verify, "build_sga", fail_some)
+    got = verify.suite_sga(seed=0)
+    failed = {r.tag.removesuffix(" no fit") for r in got if r.name == "polynomial-extraction" and not r.ok}
+    assert len(failed) == 7 and failing in failed
+    for tag in failed:
+        mine = [r for r in got if r.tag.removesuffix(" no fit") == tag]
+        assert [r.name for r in mine] == ["j0-ladder-commutator", "jminus-annihilates-sector-floor",
+                                          "polynomial-extraction"]
+        assert mine[-1].tag == tag + " no fit" and mine[-1].value == math.inf
+    assert others(got) == others(want)
+
+
+def test_stacked_suites_run_in_bounded_memory():
+    # the stack cap bounds the stacked matrices: warm tracemalloc peaks measured 1.10 MB
+    # (commutators) and 0.52 MB (sga), 1.36 and 0.96 MB with twice the cap and 2.99 and
+    # 2.25 MB with one stack per lambda
+    for suite in (suite_commutators, verify.suite_sga):
+        suite(seed=1)
+        tracemalloc.start()
+        try:
+            suite(seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000, (suite.__name__, peak)
