@@ -159,8 +159,9 @@ def cmd_info(args) -> int:
     out.append(f"energies E_0..E_{3 * lam - 1}: {ens}")
     out.append("uncertainty products at z = 0 (dressed quadratures):")
     for mu in range(lam):
-        bb = params.beta_bar
-        disp = 0.5 * lam * (bb[mu + 1] + bb[mu])
+        disp = 0.5 * lam * (float(params.beta_bar[mu + 1]) + float(params.beta_bar[mu]))
+        if disp * disp == math.inf:
+            raise RuntimeError(f"the z = 0 uncertainty product of sector {mu} overflows double precision")
         out.append(
             f"  sector {mu}: var_x = var_p = {disp:.12g}, "
             f"product = {disp * disp:.12g}, bound = {uncertainty_rhs(params, mu):.12g}"

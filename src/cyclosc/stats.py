@@ -167,12 +167,15 @@ def quadrature_stats(cs: CoherentState, kind: str = "dressed") -> QuadratureMome
 
 
 def uncertainty_rhs(params: AlgebraParams, mu: int) -> float:
-    """Sector lower bound on var_x * var_p for dressed quadratures:
-    (lambda^2/4) (beta_bar_{mu+1} - beta_bar_mu)^2, which simplifies to
-    (1 + alpha_mu)^2 / 4.  Falls below the canonical 1/4 when alpha_mu < 0."""
+    """Sector lower bound on var_x * var_p for dressed quadratures, (1 + alpha_mu)^2 / 4:
+    the (lambda^2/4) (beta_bar_{mu+1} - beta_bar_mu)^2 of the dispersions, without that
+    form's cancellation as alpha grows.  Falls below the canonical 1/4 when alpha_mu < 0.
+    Raises RuntimeError where it overflows double precision (|1 + alpha_mu| > 2.68e154)."""
     mu = _check_mu(params.lam, mu)
-    bb = params.beta_bar
-    return (params.lam ** 2 / 4.0) * (bb[mu + 1] - bb[mu]) ** 2
+    half = (1.0 + float(params.alpha[mu])) / 2.0
+    if half * half == np.inf:
+        raise RuntimeError(f"the uncertainty bound (1 + alpha_{mu})^2/4 overflows double precision")
+    return half * half
 
 
 def squeeze_ratios(cs: CoherentState, kind: str = "dressed"):

@@ -5,11 +5,13 @@ matrices, their lambda-th powers and quadratic forms (production forms none),
 the coherent-state norm summed term by term, and the alpha = 0 state rebuilt
 from its Mittag-Leffler form.
 
-dense_operators forms a and a†; N, b, b†, the P_mu and h0 are formed when read, so
-a check forms only what it compares.  On a shorter truncation a, a†, b, b†, N, P_mu,
-x and p are leading blocks of the longer ones (h0 is not: its a a† half has the
-truncation artifact in its last row), so the dense helpers read the block the size of
-their vectors, one vector or a stack of rows, applying powers as chains of products.
+The dense reference is the ladder pair: dense_operators forms a and a† only, and a
+check that compares N, P_mu, b, b† or h0 forms it from index vectors (arange, the
+residue mask, sqrt(arange(1, dim)), einsums of a and a† for h0's diagonal).  On a
+shorter truncation a, a†, b, b†, N, P_mu, x and p are leading blocks of the longer
+ones (h0 is not: its a a† half has the truncation artifact in its last row), so the
+dense helpers read the block the size of their vectors, one vector or a stack of rows,
+applying powers as chains of products.
 suite_cs checks one stack per parameter set: every state the set needs comes from one
 build_states call per sector, and its checked states and the z = 0 vacuum, zero-padded
 onto the basis of the longest, go through one production moment pass, one eigen_residual
@@ -20,7 +22,8 @@ extraction_n_max, together: dense_operators stacks their a and a† along a lead
 axis, and each check is one array expression over the stack (the matmuls, the
 matrix_power lambda-th powers, the einsum diagonals, the sector polyval, np.std),
 reduced to one value per set; what depends on lambda alone (the P_mu diagonals and
-their algebra, the canonical x and p) is formed once for every stack of that lambda.
+their algebra, the diagonals of N and b, the canonical x and p) is formed once per
+lambda, cached, and read by every stack of that lambda.
 validate_params, build_fock_rep, build_sga and the random draws stay per set, and the
 results come out in the per-set order, each value bit for bit the one its set gives
 alone.  A stack holds at most _STACK_ENTRIES = 2^13 entries per stacked matrix, so
@@ -56,7 +59,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .sga import build_sga, closed_forms
 from .coherent import CoherentState, build_cs, build_states, eigen_residual, stack_coeffs
 from .stats import _as_record, _kind_row, _moments, _number_moments, _quadratures, _stencil
 from .stats import uncertainty_rhs
-from .measure import _undeformed, moment_target, weight_lambda2, weight_photon, moment_check
+from .measure import _moment_integrals, _undeformed, moment_target, weight_lambda2, weight_photon, moment_check
 from .measure import unity_reconstruction, angular_offdiagonal
 from .specfun import mittag_leffler
 
@@ -137,52 +140,29 @@ def extraction_n_max(lam: int) -> int:
     return 3 * lam * lam + 2 * lam
 
 
-class DenseOperators(namedtuple("DenseOperators", "params lam n_max a a_dag")):
-    """The operator matrices on |0> ... |n_max> of dense_operators, which forms a and a†:
-    for a stack of parameter sets (params then their tuple), one matrix per set along a
-    leading axis.  N, b, b†, the P_mu and h0 are formed on each read, as new arrays, so
-    a check reads only what it compares; N, b, b† and the P_mu depend on lambda alone."""
+# The deformed ladder pair on |0> ... |n_max> that dense_operators forms: for a stack of
+# parameter sets (params then their tuple), one matrix per set along a leading axis
+DenseOperators = namedtuple("DenseOperators", "params lam n_max a a_dag")
 
-    __slots__ = ()
 
-    @property
-    def n_op(self):
-        return np.diag(np.arange(self.n_max + 1, dtype=float))
+def _canonical_pair(n_max: int):
+    """The canonical b and b† = b.T on |0> ... |n_max>, sqrt(n) on b's superdiagonal."""
+    b = np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+    return b, b.T
 
-    @property
-    def b(self):
-        return np.diag(np.sqrt(np.arange(1, self.n_max + 1)), 1)
 
-    @property
-    def b_dag(self):
-        return self.b.T.copy()
-
-    @property
-    def projectors(self):
-        """P_mu for mu = 0..lambda-1, from one residue mask."""
-        mask = np.arange(self.n_max + 1) % self.lam == np.arange(self.lam)[:, None]
-        return tuple(np.diag(row.astype(float)) for row in mask)
-
-    @property
-    def h0(self):
-        """h0 = (a a† + a† a)/2: two dense products."""
-        return 0.5 * (self.a @ self.a_dag + self.a_dag @ self.a)
-
-    @property
-    def h0_diagonal(self):
-        """The diagonal of h0 as einsums of the two products' diagonal entries, each of
-        which sums one nonzero term, so bit for bit the diagonal of h0."""
-        return 0.5 * (np.einsum("...ij,...ji->...i", self.a, self.a_dag)
-                      + np.einsum("...ij,...ji->...i", self.a_dag, self.a))
+def _h0_diagonal(ops: DenseOperators):
+    """The diagonal of h0 = (a a† + a† a)/2 as einsums of the two products' diagonal entries,
+    each of which sums one nonzero term, so bit for bit the diagonal of the dense products."""
+    return 0.5 * (np.einsum("...ij,...ji->...i", ops.a, ops.a_dag)
+                  + np.einsum("...ij,...ji->...i", ops.a_dag, ops.a))
 
 
 def dense_operators(params, n_max: int) -> DenseOperators:
     """The deformed ladder pair a, a† on |0> ... |n_max>, its superdiagonal from one
-    structure_function call per parameter set, with N, the canonical pair b, b†, the P_mu
-    and h0 = (a a† + a† a)/2 formed when read.  params is one AlgebraParams or a sequence
-    of them sharing lambda, whose a and a† are then stacked.  Products with a a† are
-    truncation artifacts in the last row, so on a shorter truncation every matrix but h0
-    is the leading block of this one."""
+    structure_function call per parameter set.  params is one AlgebraParams or a sequence
+    of them sharing lambda, whose a and a† are then stacked.  On a shorter truncation
+    a and a† are the leading blocks of these."""
     single = isinstance(params, algebra.AlgebraParams)
     sets = (params,) if single else tuple(params)
     if len({p.lam for p in sets}) != 1:
@@ -198,7 +178,7 @@ def dense_operators(params, n_max: int) -> DenseOperators:
 
 def dense_quadratures(ops: DenseOperators, kind="dressed"):
     """The matrices x = (a† + a)/sqrt(2), p = i(a† - a)/sqrt(2) (b for 'real'; no other kind)."""
-    lo, hi = ((ops.a, ops.a_dag), (ops.b, ops.b_dag))[_kind_row(kind)]
+    lo, hi = _canonical_pair(ops.n_max) if _kind_row(kind) else (ops.a, ops.a_dag)
     return (hi + lo) / np.sqrt(2.0), 1j * (hi - lo) / np.sqrt(2.0)
 
 
@@ -226,12 +206,12 @@ def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed"):
 
 
 def dense_number_moments(ops: DenseOperators, coeffs):
-    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the leading b, b† blocks the size of
-    each vector v along the last axis of coeffs, in one reduction: two floats for one
-    vector, two arrays for a stack."""
+    """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the canonical b, b† the size of each
+    vector v along the last axis of coeffs, in one reduction: two floats for one vector,
+    two arrays for a stack."""
     v = np.asarray(coeffs, dtype=complex)
-    size = v.shape[-1]
-    w = v @ ops.b[:size, :size].T @ ops.b_dag[:size, :size].T
+    b, b_dag = _canonical_pair(v.shape[-1] - 1)
+    w = v @ b.T @ b_dag.T
     mean, square = np.vecdot(np.stack((v, w)), w).real
     return (float(mean), float(square)) if v.ndim == 1 else (mean, square)
 
@@ -302,39 +282,41 @@ def suite_commutators(seed: int = 12345):
     draws = [rng.standard_normal(n) + 1j * rng.standard_normal(n)
              for n in (extraction_n_max(lam) + 1 for lam, _ in sets)]
     results = [[] for _ in sets]
-    shared = {}
     for idx in _stacks(params):
         _commutator_checks([params[k] for k in idx], [draws[k] for k in idx],
-                           partial(_add_stack, [results[k] for k in idx], [_tag(*sets[k]) for k in idx]), shared)
+                           partial(_add_stack, [results[k] for k in idx], [_tag(*sets[k]) for k in idx]))
     return [r for row in results for r in row]
 
 
-def _lambda_reference(fock: DenseOperators):
-    """What the commutators checks compare that depends on lambda alone: the P_mu
-    diagonals, the projector-algebra deviation, the diagonals of N and b and the
-    canonical pair's x and p."""
-    lam, dim = fock.lam, fock.n_max + 1
-    projectors = fock.projectors
-    proj = np.array([np.diag(pm) for pm in projectors])
+@cache
+def _lambda_reference(lam: int):
+    """What the commutators checks compare that depends on lambda alone, at
+    extraction_n_max(lam): the P_mu diagonals from the residue mask, the projector-algebra
+    deviation, N's diagonal, b's superdiagonal and the canonical pair's x and p.  Formed
+    once per lambda and read by every later stack of it, so the arrays are read-only."""
+    n_max = extraction_n_max(lam)
+    levels = np.arange(n_max + 1)
+    proj = (levels % lam == np.arange(lam)[:, None]).astype(float)
     # P_mu P_nu - delta_mu,nu P_mu is zero off the diagonal; sum P_mu = I stays dense
     projector_algebra = max(
-        np.max(np.abs(sum(projectors) - np.eye(dim))),
+        np.max(np.abs(sum(map(np.diag, proj)) - np.eye(n_max + 1))),
         np.max(np.abs(proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None])),
     )
-    return proj, projector_algebra, np.diag(fock.n_op), np.diag(fock.b, 1), dense_quadratures(fock, "real")
+    n_diag, b_sup = levels.astype(float), np.sqrt(levels[1:])
+    canonical = DenseOperators(None, lam, n_max, None, None)  # the 'real' kind reads n_max alone
+    real_quadratures = dense_quadratures(canonical, "real")
+    for array in (proj, n_diag, b_sup, *real_quadratures):
+        array.flags.writeable = False
+    return proj, projector_algebra, n_diag, b_sup, real_quadratures
 
 
-def _commutator_checks(stack, draws, add, shared):
+def _commutator_checks(stack, draws, add):
     """suite_commutators on one stack of parameter sets sharing lambda, draws holding each
-    set's random vector; add(name, devs, bound) records one result per set.  shared keeps
-    the _lambda_reference of the last lambda, which the next stack of that lambda reuses."""
+    set's random vector; add(name, devs, bound) records one result per set."""
     lam = stack[0].lam
     n_max = extraction_n_max(lam)
     fock = dense_operators(stack, n_max)
-    if lam not in shared:
-        shared.clear()
-        shared[lam] = _lambda_reference(fock)
-    proj, projector_algebra, n_diag, b_sup, real_quadratures = shared[lam]
+    proj, projector_algebra, n_diag, b_sup, real_quadratures = _lambda_reference(lam)
     dim = n_max + 1
     top = (slice(None), slice(0, n_max), slice(0, n_max))  # free of the a a† truncation artifact
     d = np.arange(n_max)  # the diagonal of that block
@@ -387,7 +369,7 @@ def _commutator_checks(stack, draws, add, shared):
         4.0 * np.finfo(float).eps)
 
     energies = np.array([energy(p, d) for p in stack])
-    add("energy-diagonal", np.abs(fock.h0_diagonal[:, :n_max] - energies), 1e-12)
+    add("energy-diagonal", np.abs(_h0_diagonal(fock)[:, :n_max] - energies), 1e-12)
 
     if lam == 2:
         parity = (-1.0) ** np.arange(dim)
@@ -412,7 +394,7 @@ def _sga_checks(stack, rows, tags):
     fock = dense_operators(stack, n_max)
     j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
     j_minus = np.linalg.matrix_power(fock.a, lam) / lam
-    j_zero = fock.h0_diagonal / lam  # h0 is diagonal: J_0 scales rows and columns
+    j_zero = _h0_diagonal(fock) / lam  # h0 is diagonal: J_0 scales rows and columns
     add = partial(_add_stack, rows, tags)
 
     # relative to the largest |J_+| entry of the block, which grows like n^lambda / lambda
@@ -605,11 +587,14 @@ def suite_cs(seed: int = 12345):
 
 
 def _moment_devs(params, weight, mus, ks):
-    """Relative moment errors of the radial weight(mu, y) over mus x ks."""
-    return [
-        moment_check(partial(weight, mu), mu, k, moment_target(params, mu, k))[1]
-        for mu in mus for k in ks
-    ]
+    """Relative moment errors of the radial weight(mu, y) over mus x ks: one integrator
+    pass per mu over every k, each value divided by its target as moment_check does."""
+    devs = []
+    for mu in mus:
+        values = _moment_integrals(partial(weight, mu), params.lam, ks)
+        targets = [moment_target(params, mu, k).target for k in ks]
+        devs += [abs(v - t) / t for v, t in zip(values, targets)]
+    return devs
 
 
 def suite_measure(seed: int = 12345):

@@ -11,7 +11,12 @@ from cyclosc.algebra import (
 from cyclosc.coherent import build_cs
 from cyclosc.measure import moment_target, weight_lambda2, weight_photon
 from cyclosc.stats import _quadratures, _stencil, uncertainty_rhs
-from cyclosc.verify import dense_operators, dense_quadratures
+from cyclosc.verify import _h0_diagonal, dense_operators, dense_quadratures
+
+
+def _projectors(lam, dim):
+    # P_mu for mu = 0..lambda-1 on |0> ... |dim - 1>, from the residue of each level
+    return [np.diag((np.arange(dim) % lam == mu).astype(float)) for mu in range(lam)]
 
 
 def test_derived_arrays_lambda2():
@@ -109,7 +114,7 @@ def test_commutator_identity_random():
             fock = dense_operators(p, 20)
             comm = fock.a @ fock.a_dag - fock.a_dag @ fock.a
             target = np.eye(21) + sum(
-                p.alpha[m] * fock.projectors[m] for m in range(lam)
+                p.alpha[m] * pm for m, pm in enumerate(_projectors(lam, 21))
             )
             assert np.max(np.abs((comm - target)[:20, :20])) < 1e-13
 
@@ -117,21 +122,22 @@ def test_commutator_identity_random():
 def test_projector_shift_exact():
     p = validate_params(3, [0.2, -0.3, 0.1])
     fock = dense_operators(p, 12)
+    projectors = _projectors(3, 13)
     for m in range(3):
-        lhs = fock.a_dag @ fock.projectors[m]
-        rhs = fock.projectors[(m + 1) % 3] @ fock.a_dag
+        lhs = fock.a_dag @ projectors[m]
+        rhs = projectors[(m + 1) % 3] @ fock.a_dag
         assert np.array_equal(lhs, rhs)
 
 
 def test_projectors_resolve_identity():
     p = validate_params(4, [0.3, -0.1, 0.2, -0.4])
-    fock = dense_operators(p, 17)
-    assert np.array_equal(sum(fock.projectors), np.eye(18))
+    projectors = _projectors(4, 18)
+    assert np.array_equal(sum(projectors), np.eye(18))
     for m in range(4):
         for nu in range(4):
-            prod = fock.projectors[m] @ fock.projectors[nu]
+            prod = projectors[m] @ projectors[nu]
             if m == nu:
-                assert np.array_equal(prod, fock.projectors[m])
+                assert np.array_equal(prod, projectors[m])
             else:
                 assert np.max(np.abs(prod)) == 0.0
 
@@ -149,8 +155,11 @@ def test_number_diagonal_as_constructed():
 def test_alpha_zero_reduces_to_canonical_ladder():
     p = validate_params(3, [0.0, 0.0, 0.0])
     fock = dense_operators(p, 10)
-    assert np.array_equal(fock.a, fock.b)
-    assert np.array_equal(fock.a_dag, fock.b_dag)
+    b = np.diag(np.sqrt(np.arange(1, 11)), 1)
+    assert np.array_equal(fock.a, b)
+    assert np.array_equal(fock.a_dag, b.T)
+    for got, want in zip(dense_quadratures(fock, "dressed"), dense_quadratures(fock, "real")):
+        assert np.array_equal(got, want)
 
 
 def test_parity_relations_lambda2():
@@ -181,10 +190,12 @@ def test_ladder_shifts_match_dense_matrices(lam):
 def test_h0_diagonal_matches_energy():
     p = validate_params(3, [-0.5, 0.25, 0.25])
     fock = dense_operators(p, 15)
+    h0 = 0.5 * (fock.a @ fock.a_dag + fock.a_dag @ fock.a)
     for n in range(15):  # the last diagonal entry is a truncation artifact
-        assert abs(fock.h0[n, n] - energy(p, n)) < 1e-13
-    off = fock.h0 - np.diag(np.diag(fock.h0))
+        assert abs(h0[n, n] - energy(p, n)) < 1e-13
+    off = h0 - np.diag(np.diag(h0))
     assert np.max(np.abs(off)) == 0.0
+    assert np.array_equal(_h0_diagonal(fock), np.diag(h0))
 
 
 def test_random_admissible_always_valid():

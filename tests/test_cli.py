@@ -56,6 +56,17 @@ def test_info_nonfinite_alpha_is_bad_input(capsys, alpha):
     assert err.startswith("error:") and "finite" in err
 
 
+def test_info_overflowing_uncertainty_product_is_numerical_trouble(capsys):
+    # sector 0's z = 0 product overflows: exit 3 with one error line and no
+    # warning, where this printed product = inf and bound = 0 for sectors 2 and 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "info", "--lambda", "7", "--alpha=1e300,-1,1,-1,0.0125,-2.02e-174,auto")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "overflows double precision" in err
+
+
 def test_sweep_nonfinite_input_is_bad_input(capsys):
     base = ["sweep", "--lambda", "2", "--quantity", "var-x"]
     for extra in (["--z-from", "nan", "--z-to", "1"], ["--z-from", "0", "--z-to", "inf+1j"],

@@ -50,7 +50,7 @@ def _dense(lam, alpha):
     ops = dense_operators(p, n_max)
     j_plus = np.linalg.matrix_power(ops.a_dag, lam) / lam
     j_minus = np.linalg.matrix_power(ops.a, lam) / lam
-    return p, n_max, (j_plus, j_minus, ops.h0 / lam)
+    return p, n_max, (j_plus, j_minus, 0.5 * (ops.a @ ops.a_dag + ops.a_dag @ ops.a) / lam)
 
 
 def test_ladder_commutators_interior():

@@ -116,6 +116,25 @@ def test_uncertainty_rhs_values():
         assert math.isclose(uncertainty_rhs(p, mu), direct, rel_tol=1e-13)
 
 
+@pytest.mark.parametrize("alpha0", [1e8, 1e12, 1e16])
+def test_uncertainty_rhs_does_not_cancel_as_alpha_grows(alpha0):
+    # the beta_bar form (lambda^2/4)(beta_bar_2 - beta_bar_1)^2 missed this by
+    # 1.6e-8, 7.5e-5 and 33% relative
+    p = validate_params(3, [alpha0, 0.3, -alpha0 - 0.3])
+    assert p.alpha[1] == 0.3
+    assert math.isclose(uncertainty_rhs(p, 1), (1.0 + 0.3) ** 2 / 4.0, rel_tol=1e-15)
+
+
+def test_uncertainty_rhs_overflow_is_named():
+    p = validate_params(2, [3e154, -3e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in (0, 1):
+            with pytest.raises(RuntimeError, match=r"\(1 \+ alpha_%d\)\^2/4 overflows double precision" % mu):
+                uncertainty_rhs(p, mu)
+    assert uncertainty_rhs(validate_params(2, [2.6e154, -2.6e154]), 0) == pytest.approx(1.69e308, rel=1e-12)
+
+
 def test_uncertainty_saturation_at_origin():
     for lam, alpha in ((2, [0.5, -0.5]), (3, [-0.5, 0.25, 0.25])):
         p = validate_params(lam, alpha)

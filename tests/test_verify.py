@@ -77,17 +77,18 @@ def test_shorter_truncation_is_the_leading_block_except_h0(lam):
         m, big = 4 * lam + 3, 9 * lam + 2
         short, long_ = dense_operators(p, m), dense_operators(p, big)
         block = (slice(0, m + 1),) * 2
-        for name in ("n_op", "a", "a_dag", "b", "b_dag"):
+        for name in ("a", "a_dag"):
             assert np.array_equal(getattr(long_, name)[block], getattr(short, name)), name
-        for got, want in zip(long_.projectors, short.projectors):
+        for got, want in zip(verify._canonical_pair(big), verify._canonical_pair(m)):
             assert np.array_equal(got[block], want)
         for kind in ("dressed", "real"):
             for got, want in zip(dense_quadratures(long_, kind), dense_quadratures(short, kind)):
                 assert np.array_equal(got[block], want)
         # h0 is not: the a a† half of the short build misses F(m + 1) in its last entry
-        differs = long_.h0[block] != short.h0
-        assert differs[m, m] and np.count_nonzero(differs) == 1
-        assert long_.h0[m, m] - short.h0[m, m] == pytest.approx(0.5 * algebra.structure_function(p, m + 1))
+        long_h0, short_h0 = verify._h0_diagonal(long_), verify._h0_diagonal(short)
+        differs = long_h0[:m + 1] != short_h0
+        assert differs[m] and np.count_nonzero(differs) == 1
+        assert long_h0[m] - short_h0[m] == pytest.approx(0.5 * algebra.structure_function(p, m + 1))
 
 
 def _dense_operators_per_level(params, n_max):
@@ -108,18 +109,27 @@ def test_dense_operators_equal_the_per_level_loop(lam):
     for n_max in (lam, 3 * lam * lam + 2 * lam):
         for p in draws:
             ops = dense_operators(p, n_max)
-            got = (ops.n_op, ops.a, ops.a_dag, ops.b, ops.b_dag, ops.projectors, ops.h0)
-            for g, w in zip(got, _dense_operators_per_level(p, n_max)):
+            _, a, a_dag, b, b_dag, _, h0 = _dense_operators_per_level(p, n_max)
+            for g, w in zip((ops.a, ops.a_dag, *verify._canonical_pair(n_max)), (a, a_dag, b, b_dag)):
                 assert np.array_equal(g, w)
+            # h0 is diagonal, and _h0_diagonal is its diagonal
+            assert np.array_equal(np.diag(verify._h0_diagonal(ops)), h0)
         # a stack holds each set's own a and a† along its leading axis
         stack = dense_operators(draws, n_max)
         assert stack.params == tuple(draws) and stack.a.shape == (len(draws), n_max + 1, n_max + 1)
         for k, p in enumerate(draws):
             own = dense_operators(p, n_max)
             assert np.array_equal(stack.a[k], own.a) and np.array_equal(stack.a_dag[k], own.a_dag)
-            assert np.array_equal(stack.h0[k], own.h0)
+            assert np.array_equal(verify._h0_diagonal(stack)[k], verify._h0_diagonal(own))
     with pytest.raises(ValueError, match="share one lambda"):
         dense_operators([draws[0], validate_params(lam + 1, [0.0] * (lam + 1))], 3 * lam * lam + 2 * lam)
+    # the commutators suite's lambda-only reference, at its truncation
+    n_op, _, _, b, b_dag, projectors, _ = _dense_operators_per_level(draws[0], verify.extraction_n_max(lam))
+    proj, _, n_diag, b_sup, real = verify._lambda_reference(lam)
+    assert np.array_equal([np.diag(row) for row in proj], projectors)
+    assert np.array_equal(np.diag(n_diag), n_op) and np.array_equal(np.diag(b_sup, 1), b)
+    for g, w in zip(real, ((b_dag + b) / np.sqrt(2.0), 1j * (b_dag - b) / np.sqrt(2.0))):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("lam", [2, 3, 4])
@@ -268,6 +278,10 @@ def test_one_undeformed_test_for_the_cs_suite_and_the_rebuilds(monkeypatch):
     assert all(r.ok for r in results)
 
 
+def _dense_h0(fock):
+    return 0.5 * (fock.a @ fock.a_dag + fock.a_dag @ fock.a)
+
+
 def _diagonal_factor_draws(lam):
     # alpha = 0 and two seeded admissible draws, each with its extraction-size reference
     draws = [[0.0] * lam] + [random_admissible_alpha(lam, np.random.default_rng([lam, k])) for k in (21, 22)]
@@ -278,28 +292,29 @@ def _diagonal_factor_draws(lam):
 def test_diagonal_factor_scalings_equal_the_matmuls(lam):
     # each matmul entry with a diagonal factor sums one nonzero term, so the row
     # scaling d[:, None] * M and column scaling M * d are the matmul bit for bit
+    # the diagonals the suite reads from its lambda-only reference, against their dense matrices
+    proj, _, n_diag, _, _ = verify._lambda_reference(lam)
+    projectors, n_op = [np.diag(row) for row in proj], np.diag(n_diag)
     for fock in _diagonal_factor_draws(lam):
-        proj = np.array([np.diag(pm) for pm in fock.projectors])
         for mu in range(lam):
-            nxt = fock.projectors[(mu + 1) % lam]
+            nxt = projectors[(mu + 1) % lam]
             assert np.array_equal(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag,
-                                  fock.a_dag @ fock.projectors[mu] - nxt @ fock.a_dag)
+                                  fock.a_dag @ projectors[mu] - nxt @ fock.a_dag)
         # projector algebra: the diagonals carry every entry of P_mu P_nu - delta P_mu
         on_diag = proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None]
         for mu in range(lam):
             for nu in range(lam):
-                dense = fock.projectors[mu] @ fock.projectors[nu] - (fock.projectors[mu] if mu == nu else 0.0)
+                dense = projectors[mu] @ projectors[nu] - (projectors[mu] if mu == nu else 0.0)
                 assert np.array_equal(np.diag(on_diag[mu, nu]), dense)
-        n_diag = np.diag(fock.n_op)
-        n_op, a, a_dag = fock.n_op, fock.a, fock.a_dag
+        a, a_dag = fock.a, fock.a_dag
         assert np.array_equal(n_diag[:, None] * a_dag - a_dag * n_diag - a_dag, n_op @ a_dag - a_dag @ n_op - a_dag)
         assert np.array_equal(n_diag[:, None] * a - a * n_diag + a, n_op @ a - a @ n_op + a)
         parity = (-1.0) ** np.arange(fock.n_max + 1)
         kmat = np.diag(parity)
         assert np.array_equal(np.abs(parity[:, None] * fock.a_dag + fock.a_dag * parity),
                               np.abs(kmat @ fock.a_dag + fock.a_dag @ kmat))
-        j_zero, j_plus = fock.h0 / lam, np.linalg.matrix_power(fock.a_dag, lam) / lam
-        d0 = np.diag(fock.h0) / lam
+        j_zero, j_plus = _dense_h0(fock) / lam, np.linalg.matrix_power(fock.a_dag, lam) / lam
+        d0 = verify._h0_diagonal(fock) / lam
         assert np.array_equal(d0[:, None] * j_plus - j_plus * d0, j_zero @ j_plus - j_plus @ j_zero)
 
 
@@ -314,9 +329,9 @@ def test_diagonal_reads_and_sector_polyval_equal_the_dense_forms(lam):
         assert np.array_equal(g, np.diag(j_minus @ j_plus))
         assert np.array_equal(np.einsum("ij,ji->i", j_plus, j_minus) - g,
                               np.diag(j_plus @ j_minus - j_minus @ j_plus))
-        assert np.array_equal(fock.h0_diagonal, np.diag(fock.h0))
+        assert np.array_equal(verify._h0_diagonal(fock), np.diag(_dense_h0(fock)))
     stack = dense_operators([fock.params for fock in focks], verify.extraction_n_max(lam))
-    assert np.array_equal(stack.h0_diagonal, [np.diag(fock.h0) for fock in focks])
+    assert np.array_equal(verify._h0_diagonal(stack), [np.diag(_dense_h0(fock)) for fock in focks])
 
     # one polyval over a stack of sets and every sector, J_0 on the levels k lam + mu, k < 2 lam
     params = stack.params
