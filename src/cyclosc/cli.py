@@ -96,7 +96,10 @@ def cmd_sweep(args) -> int:
     r_given = args.r_from is not None or args.r_to is not None
     if z_given == r_given:
         raise ValueError("specify exactly one of --z-from/--z-to or --r-from/--r-to")
-    ts = np.linspace(0.0, 1.0, args.steps)
+    try:
+        ts = np.linspace(0.0, 1.0, args.steps)
+    except (ValueError, MemoryError):  # past numpy's size limit, or past what can be allocated
+        raise ValueError(f"--steps {args.steps} is too many points to allocate") from None
     if z_given:
         if args.z_from is None or args.z_to is None:
             raise ValueError("both --z-from and --z-to are required")
@@ -195,12 +198,22 @@ def cmd_sga(args) -> int:
     dev = None
     cf = closed_forms(params)
     if cf is not None:
-        dev = max(float(np.max(np.abs(got - want))) for got, want in zip((poly.s, poly.t, poly.c), cf))
+        # per sector, f, h and c as one sum_i |coef_i| X^i at X, the largest |J_0| build_sga
+        # validates at, whose fit error scales with it; taken over X^lambda, so the sums
+        # stay in range, and the deviation is relative to the closed forms' own sum
+        ns = np.arange(3 * lam) * lam + np.arange(lam)[:, None]
+        weights = (np.max(np.abs(energy(params, ns))) / lam) ** np.arange(-lam, 1.0)
+
+        def size(s, t, c):
+            return np.abs(s) @ weights[:lam] + np.abs(t) @ weights + np.abs(c) * weights[0]
+
+        dev = float(np.max(size(*(got - want for got, want in zip((poly.s, poly.t, poly.c), cf))) / size(*cf)))
         if args.format != "csv":
-            lines.append(f"closed-form max deviation: {dev:.3e}")
+            lines.append(f"closed-form max deviation: {dev:.3e} of the sector's sum")
     _write_out("\n".join(lines) + "\n", args.out)
     if dev is not None and dev > 1e-8:
-        print(f"error: extracted polynomials deviate from closed forms by {dev:.3e}", file=sys.stderr)
+        print(f"error: extracted polynomials deviate from closed forms by {dev:.3e} of the sector's sum",
+              file=sys.stderr)
         return 2
     return 0
 

@@ -27,6 +27,9 @@ block it shares, so states differ in length; stack_coeffs zero-pads them
 onto one basis where states are compared.  The one boundary on a state is
 N_mu leaving the double range: log N_mu > 709.78 raises TruncationError,
 from |z| = 355.2 for lambda = 2 and 6318 for lambda = 3 (alpha = 0, mu = 0).
+Its text names the label's first running log-sum past 709.78, which neither the
+block's length nor the other labels change, so a line raises, from its one pass,
+the text build_cs raises for its first overflowing label.
 """
 
 from __future__ import annotations
@@ -100,14 +103,15 @@ def build_states(params: AlgebraParams, mu: int, zs) -> list:
     """The states |z; mu> for every label in zs, in order, each bit for bit
     the state build_cs gives.  A label whose modulus overflows is a ValueError
     before any state is built; then the first label whose norm overflows
-    raises build_cs's TruncationError.
+    raises build_cs's TruncationError for it.
 
     The nonzero labels share one block: one cumulative sum of log F, sized
     from the largest |z| and doubled until every row's stop test fires or its
-    sum overflows; their log|d_k| as one (labels x k) outer product and their
-    running squared norms as one logaddexp accumulation along each row.  The
-    sums run in sequence, so a row's entries, and with them its truncation,
-    do not depend on the block's length or on the other labels.
+    sum overflows; their log|d_k| = k log(lambda |z|) - (1/2) sum_{mu < j <=
+    k lambda + mu} log F(j) as one (labels x k) outer product and their running
+    squared norms as one logaddexp accumulation along each row.  The sums run in
+    sequence, so a row's entries, with its truncation and its first entry past
+    _LOG_MAX, do not depend on the block's length or on the other labels.
     """
     lam = params.lam
     mu = _check_mu(lam, mu)
@@ -116,54 +120,41 @@ def build_states(params: AlgebraParams, mu: int, zs) -> list:
         if not math.isfinite(math.hypot(z.real, z.imag)):  # abs(z) raises OverflowError instead
             raise ValueError(f"|z| must be finite, got {z}")
     floor = max(4 * lam, mu + 6)
-    if any(zs):
-        nonzero = iter(_nonzero_states(params, mu, [z for z in zs if z], -((mu - floor) // lam)))
-    states = []
+    k_lo = -((mu - floor) // lam)  # the first k with k lambda + mu at or past the floor
+    abs_z = [abs(z) for z in zs if z]
+    if abs_z:
+        # k* = (|z|^2 / lambda^(lambda-2))^(1/lambda), the alpha = 0 peak of |d_k|: one block past
+        # it fits sampled states (lambda <= 12, |z| <= 3000); doubling from k_lo runs log2(k*) blocks
+        log_k_star = (2.0 * math.log(max(abs_z)) - (lam - 2) * math.log(lam)) / lam
+        k_star = math.exp(min(log_k_star, math.log(_K_RISE)))
+        k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
+        log_w = np.array([[math.log(lam) + math.log(a)] for a in abs_z])
+        while True:
+            # F(mu) is set to 1 so that the running sum starts from log 1 = 0 at k = 0
+            f = structure_function(params, np.arange(mu, k_top * lam + mu + 1))
+            f[0] = 1.0
+            log_f = np.add.accumulate(np.log(f))
+            log_mag = np.arange(k_top + 1) * log_w - 0.5 * log_f[::lam]
+            log_acc = np.logaddexp.accumulate(2.0 * log_mag, axis=1)
+            small = log_mag[:, k_lo + 1:k_top] < _LOG_EPS + 0.5 * log_acc[:, k_lo:k_top - 1]
+            stops = small.argmax(axis=1).tolist()
+            if all(small[j, s] or log_acc[j, -1] > _LOG_MAX for j, s in enumerate(stops)):
+                break
+            k_top *= 2
+    states, j = [], 0
     for z in zs:
-        if z:
-            states.append(next(nonzero))
-        else:
+        if not z:
             coeffs = np.zeros(floor + 1, dtype=complex)
             coeffs[mu] = 1.0
             states.append(CoherentState(params, mu, z, coeffs, 1.0, 0.0))
-    return states
-
-
-def _nonzero_states(params: AlgebraParams, mu: int, zs: list, k_lo: int) -> list:
-    """The state of each nonzero label, from
-    log|d_k| = k log(lambda |z|) - (1/2) sum_{mu < j <= k lambda + mu} log F(j);
-    k_lo is the first k with k lambda + mu at or past the truncation floor."""
-    lam = params.lam
-    abs_z = [abs(z) for z in zs]
-    # k* = (|z|^2 / lambda^(lambda-2))^(1/lambda), the alpha = 0 peak of |d_k|: one block past
-    # it fits sampled states (lambda <= 12, |z| <= 3000); doubling from k_lo runs log2(k*) blocks
-    log_k_star = (2.0 * math.log(max(abs_z)) - (lam - 2) * math.log(lam)) / lam
-    k_star = math.exp(min(log_k_star, math.log(_K_RISE)))
-    k_top = max(int(k_star + math.sqrt(150.0 * k_star / lam) + 40.0 / lam), k_lo) + 2
-    log_w = np.array([[math.log(lam) + math.log(a)] for a in abs_z])
-    while True:
-        # F(mu) is set to 1 so that the running sum starts from log 1 = 0 at k = 0
-        f = structure_function(params, np.arange(mu, k_top * lam + mu + 1))
-        f[0] = 1.0
-        log_f = np.add.accumulate(np.log(f))
-        log_mag = np.arange(k_top + 1) * log_w - 0.5 * log_f[::lam]
-        log_acc = np.logaddexp.accumulate(2.0 * log_mag, axis=1)
-        small = log_mag[:, k_lo + 1:k_top] < _LOG_EPS + 0.5 * log_acc[:, k_lo:k_top - 1]
-        stops = small.argmax(axis=1).tolist()
-        if all(small[j, s] or log_acc[j, -1] > _LOG_MAX for j, s in enumerate(stops)):
-            break
-        k_top *= 2
-    states = []
-    for j, (z, a, s) in enumerate(zip(zs, abs_z, stops)):
+            continue
         # with no stop the row's whole sum has overflowed: the test below names it
-        k_last = k_lo + s if small[j, s] else k_top - 2
-        row = log_mag[j]
-        log_norm = float(log_acc[j, k_last + 2])
+        k_last = k_lo + stops[j] if small[j, stops[j]] else k_top - 2
+        row, acc, a = log_mag[j], log_acc[j], abs_z[j]
+        log_norm = float(acc[k_last + 2])
         if log_norm > _LOG_MAX:
-            if len(zs) > 1:  # the text reports the sum where this label's own doubling stopped
-                _nonzero_states(params, mu, [z], k_lo)
             raise TruncationError(
-                f"normalization N_{mu} >= exp({log_norm:.6g}) at |z| = {a:.6g} "
+                f"normalization N_{mu} >= exp({acc[np.argmax(acc > _LOG_MAX)]:.6g}) at |z| = {a:.6g} "
                 "overflows double precision"
             )
         # bound the dropped squared weight by a geometric tail on |d_k|^2
@@ -176,6 +167,7 @@ def _nonzero_states(params: AlgebraParams, mu: int, zs: list, k_lo: int) -> list
         coeffs = np.zeros(k_last * lam + mu + 1, dtype=complex)
         coeffs[mu::lam] = np.exp(row[:k_last + 1] - 0.5 * log_norm) * np.multiply.accumulate(phases)
         states.append(CoherentState(params, mu, z, coeffs, math.exp(log_norm), tail_bound))
+        j += 1
     return states
 
 

@@ -15,14 +15,17 @@ n + lambda); on sector mu they are P_- and P_+ = lambda^{lambda-2} prod_j (J_0 -
 r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod lambda}) / lambda, over j = 0, -1,
 ..., 1-lambda and j = 1..lambda, both expanded in one pass.  One call,
 build_sga(params), validates both against the diagonals at the levels
-k lambda + mu, k <= 3 lambda - 1, of every sector in one stacked row-wise
-Horner pass, to 1e-8 relative to the monomial form's own magnitude
+k lambda + mu, k <= 3 lambda - 1, of every sector in one stacked Horner pass
+(_horner, over any leading axes, the one polynomial evaluator that verify also
+reads), to 1e-8 relative to the monomial form's own magnitude
 sum_i |p_i| |J_0|^i (Higham, Accuracy and Stability of Numerical Algorithms,
 2nd ed., sec. 5.1), and returns their exact combinations
 f = P_- - P_+, h = P_+(0) - P_+ and c = P_+(0); closed_forms gives the lambda =
 2, 3 goldens.  The products overflow double precision from lambda = 74 at
 alpha = 0: ladder_products tests its top entry before it forms them and raises
-RuntimeError; build_sga has no overflow test of its own.
+RuntimeError.  Where the root products leave the double range first (from
+alpha = (5.4e154, -5.4e154) at lambda = 2 and (2.3e103, -2.3e103, 0) at
+lambda = 3), the failed validation names that overflow, not an implementation bug.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
@@ -88,19 +91,26 @@ def _root_polys(params: AlgebraParams, shifts: np.ndarray) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row mu of the ascending coeffs at row mu of x, with polyval's arithmetic."""
-    out = coeffs[:, -1:] + 0.0 * x
-    for col in coeffs[:, -2::-1].T:
-        out = out * x + col[:, None]
+    """The polynomials ascending along coeffs' last axis, each at the row of x that shares
+    its leading indices (row mu of a (lambda, deg + 1) array, or a stack of them), with
+    polyval's arithmetic."""
+    out = coeffs[..., -1:] + 0.0 * x
+    for i in range(coeffs.shape[-1] - 2, -1, -1):
+        out = out * x + coeffs[..., i:i + 1]
     return out
 
 
-def _raise_first(resid: np.ndarray, message: str) -> None:
+def _raise_first(resid: np.ndarray, mag: np.ndarray, product: str, message: str) -> None:
     """Raise for the first sector whose residual is not below 1e-8 ('not below', so
-    that a NaN residual fails too), as a sector loop would."""
+    that a NaN residual fails too), as a sector loop would.  Where that sector's
+    magnitude sum_i |p_i| |J_0|^i has left the double range, the error names the
+    overflow of the root product instead."""
     failed = ~(resid < 1e-8)
     if failed.any():
         mu = int(np.argmax(failed))
+        if not np.isfinite(mag[mu]).all():
+            raise RuntimeError(f"the root product of {product} on sector {mu} overflows double "
+                               f"precision at lambda = {len(resid)}")
         raise RuntimeError(message.format(mu=mu, v=resid[mu]))
 
 
@@ -109,21 +119,23 @@ def _fit(params: AlgebraParams, x: np.ndarray, low: np.ndarray, g: np.ndarray) -
     of one _root_polys call over the shifts j = 0, -1, ..., 1-lambda and 1..lambda, each
     validated at the levels whose J_0, J_+ J_- and J_- J_+ are row mu of x, low
     and g (sector mu), to 1e-8 relative to sum_i |p_i| |x|^i.  A residual that
-    is not below 1e-8 raises RuntimeError (implementation-bug signal), P_-'s
-    over all sectors before P_+'s.
+    is not below 1e-8 raises RuntimeError, P_-'s over all sectors before P_+'s:
+    one naming the overflow where that magnitude has left the double range (from
+    alpha_0 = 5.4e154 at lambda = 2), else an implementation-bug signal.
     """
     lam = params.lam
-    p = _root_polys(params, np.array([-np.arange(lam), np.arange(1, lam + 1)])).reshape(2 * lam, lam + 1)
-    t = -p[lam:]  # J_- J_+ = c - h
-    s = (p[:lam] + t)[:, :lam]
-    c = -t[:, 0]
-    t[:, 0] = 0.0
-    val, mag = np.split(_horner(np.concatenate([p, np.abs(p)]), np.concatenate([x, x, np.abs(x), np.abs(x)])), 2)
-    resid = np.max(np.abs(val - np.concatenate([low, g])) / mag, axis=1)
-    _raise_first(resid[:lam], f"[J_+, J_-] is not a degree-{lam - 1} polynomial in J_0 on "
-                              "sector {mu} (validation residual {v:.3e})")
-    _raise_first(resid[lam:], "J_- J_+ + h(J_0) is not constant on sector {mu} "
-                              "(worst deviation {v:.3e})")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named by _raise_first
+        p = _root_polys(params, np.array([-np.arange(lam), np.arange(1, lam + 1)])).reshape(2 * lam, lam + 1)
+        t = -p[lam:]  # J_- J_+ = c - h
+        s = (p[:lam] + t)[:, :lam]
+        c = -t[:, 0]
+        t[:, 0] = 0.0
+        val, mag = np.split(_horner(np.concatenate([p, np.abs(p)]), np.concatenate([x, x, np.abs(x), np.abs(x)])), 2)
+        resid = np.max(np.abs(val - np.concatenate([low, g])) / mag, axis=1)
+    _raise_first(resid[:lam], mag[:lam], "J_+ J_-", f"[J_+, J_-] is not a degree-{lam - 1} polynomial "
+                 "in J_0 on sector {mu} (validation residual {v:.3e})")
+    _raise_first(resid[lam:], mag[lam:], "J_- J_+", "J_- J_+ + h(J_0) is not constant on sector {mu} "
+                 "(worst deviation {v:.3e})")
     return SgaPolynomials(s, t, c, resid[:lam], resid[lam:])
 
 
@@ -136,16 +148,19 @@ def closed_forms(params: AlgebraParams):
         f = -9 J_0^2 - (a0 + 2 a1) J_0 - (1 + a0)(5 - a0)/12,
         h = -3 J_0^3 - (9 + a0 + 2 a1) J_0^2 / 2 - (23 + 10 a0 + 12 a1 - a0^2) J_0 / 12,
         c_mu = (1 + a0)(5 - a0)(3 + a0 + 2 a1)/72.
+    Each Casimir factor is divided by a power of two before the product and the product
+    multiplied back after the last division: the same bits as the plain product wherever
+    that is finite, and no overflow where c_mu is a double (alpha_0 = 3e154 at lambda = 2).
     """
     a0 = params.alpha
     if params.lam == 2:
         s = np.array([[0.0, -2.0], [0.0, -2.0]])
         t = np.array([[0.0, -1.0, -1.0], [0.0, -1.0, -1.0]])
-        return s, t, (1 + a0) * (3 - a0) / 16.0
+        return s, t, (1 + a0) / 4.0 * ((3 - a0) / 4.0)
     if params.lam == 3:
         a1 = np.roll(a0, -1)
         s = np.column_stack([-(1 + a0) * (5 - a0) / 12.0, -(a0 + 2 * a1), np.full(3, -9.0)])
         t = np.column_stack([np.zeros(3), -(23 + 10 * a0 + 12 * a1 - a0 * a0) / 12.0,
                              -(9 + a0 + 2 * a1) / 2.0, np.full(3, -3.0)])
-        return s, t, (1 + a0) * (5 - a0) * (3 + a0 + 2 * a1) / 72.0
+        return s, t, (1 + a0) / 8.0 * ((5 - a0) / 8.0) * ((3 + a0 + 2 * a1) / 8.0) / 72.0 * 512.0
     return None

@@ -10,8 +10,8 @@ check that compares N, P_mu, b, b† or h0 forms it from index vectors (arange, 
 residue mask, sqrt(arange(1, dim)), einsums of a and a† for h0's diagonal).  On a
 shorter truncation a, a†, b, b†, N, P_mu, x and p are leading blocks of the longer
 ones (h0 is not: its a a† half has the truncation artifact in its last row), so the
-dense helpers read the block the size of their vectors, one vector or a stack of rows,
-applying powers as chains of products.
+dense helpers read the block the size of the vectors along coeffs' last axis, applying
+powers as chains of products, and return one layout for any leading shape.
 suite_cs checks one stack per parameter set: every state the set needs comes from one
 build_states call per sector, and its checked states and the z = 0 vacuum, zero-padded
 onto the basis of the longest, go through one production moment pass, one eigen_residual
@@ -20,7 +20,7 @@ call and one dense reference at that width.
 suite_commutators and suite_sga check the parameter sets of one lambda, which share
 extraction_n_max, together: dense_operators stacks their a and a† along a leading
 axis, and each check is one array expression over the stack (the matmuls, the
-matrix_power lambda-th powers, the einsum diagonals, the sector polyval, np.std),
+matrix_power lambda-th powers, the einsum diagonals, sga._horner, np.std),
 reduced to one value per set; what depends on lambda alone (the P_mu diagonals and
 their algebra, the diagonals of N and b, the canonical x and p) is formed once per
 lambda, cached, and read by every stack of that lambda.
@@ -65,11 +65,11 @@ import numpy as np
 
 from . import algebra
 from .algebra import validate_params, random_admissible_alpha, energy
-from .sga import build_sga, closed_forms
+from .sga import _horner, build_sga, closed_forms
 # build_cs stays bound here for bench/test_bench.py, whose tracer test reads
 # verify.build_cs among the bindings it wraps
 from .coherent import CoherentState, build_cs, build_states, eigen_residual, stack_coeffs
-from .stats import _as_record, _kind_row, _moments, _number_moments, _quadratures, _stencil
+from .stats import _kind_row, _moments, _number_moments, _quadratures, _stencil
 from .stats import uncertainty_rhs
 from .measure import _moment_integrals, _undeformed, moment_target, weight_lambda2, weight_photon, moment_check
 from .measure import unity_reconstruction, angular_offdiagonal
@@ -141,8 +141,8 @@ def extraction_n_max(lam: int) -> int:
 
 
 # The deformed ladder pair on |0> ... |n_max> that dense_operators forms: for a stack of
-# parameter sets (params then their tuple), one matrix per set along a leading axis
-DenseOperators = namedtuple("DenseOperators", "params lam n_max a a_dag")
+# parameter sets, one matrix per set along a leading axis
+DenseOperators = namedtuple("DenseOperators", "lam n_max a a_dag")
 
 
 def _canonical_pair(n_max: int):
@@ -172,8 +172,8 @@ def dense_operators(params, n_max: int) -> DenseOperators:
     a[:, levels - 1, levels] = np.sqrt([algebra.structure_function(p, levels) for p in sets])
     a_dag = a.transpose(0, 2, 1).copy()
     if single:
-        return DenseOperators(params, params.lam, n_max, a[0], a_dag[0])
-    return DenseOperators(sets, sets[0].lam, n_max, a, a_dag)
+        a, a_dag = a[0], a_dag[0]
+    return DenseOperators(sets[0].lam, n_max, a, a_dag)
 
 
 def dense_quadratures(ops: DenseOperators, kind="dressed"):
@@ -186,9 +186,9 @@ def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed"):
     """stats.quadrature_stats as quadratic forms <v|c^2|v>, <v|c^4|v> of c = x - <x>
     for the dense_quadratures matrices x and p, for each vector v along the last axis
     of coeffs on the leading block its size: c^2 v = c(c v) and c^4 v = c(c(c^2 v)),
-    chains of products with the whole stack.  One vector gives a QuadratureMoments, a
-    stack the array stats._moments gives (rows mean, dispersion and fourth moment,
-    columns x and p)."""
+    chains of products with the whole stack.  The result is laid out as stats._moments
+    lays it out: coeffs' leading shape, then rows mean, dispersion and fourth moment and
+    columns x and p."""
     v = np.asarray(coeffs, dtype=complex)
     size = v.shape[-1]
     m = np.empty(v.shape[:-1] + (3, 2))
@@ -202,18 +202,17 @@ def dense_quadrature_moments(ops: DenseOperators, coeffs, kind="dressed"):
         m[..., 0, j] = mean[..., 0]
         m[..., 1, j] = np.vecdot(v, c2v).real
         m[..., 2, j] = np.vecdot(v, c3v @ op_t - mean * c3v).real
-    return _as_record(m) if v.ndim == 1 else m
+    return m
 
 
 def dense_number_moments(ops: DenseOperators, coeffs):
     """<N>, <N^2> as <v|b† b|v> and ||b† b v||^2 of the canonical b, b† the size of each
-    vector v along the last axis of coeffs, in one reduction: two floats for one vector,
-    two arrays for a stack."""
+    vector v along the last axis of coeffs, in one reduction: two arrays of coeffs'
+    leading shape."""
     v = np.asarray(coeffs, dtype=complex)
     b, b_dag = _canonical_pair(v.shape[-1] - 1)
     w = v @ b.T @ b_dag.T
-    mean, square = np.vecdot(np.stack((v, w)), w).real
-    return (float(mean), float(square)) if v.ndim == 1 else (mean, square)
+    return tuple(np.vecdot(np.stack((v, w)), w).real)
 
 
 def _dense_lowered(ops: DenseOperators, coeffs):
@@ -303,7 +302,7 @@ def _lambda_reference(lam: int):
         np.max(np.abs(proj[:, None] * proj - np.eye(lam)[:, :, None] * proj[:, None])),
     )
     n_diag, b_sup = levels.astype(float), np.sqrt(levels[1:])
-    canonical = DenseOperators(None, lam, n_max, None, None)  # the 'real' kind reads n_max alone
+    canonical = DenseOperators(lam, n_max, None, None)  # the 'real' kind reads n_max alone
     real_quadratures = dense_quadratures(canonical, "real")
     for array in (proj, n_diag, b_sup, *real_quadratures):
         array.flags.writeable = False
@@ -430,7 +429,7 @@ def _sga_checks(stack, rows, tags):
 
     # Casimir constant across k = 0..3 per sector
     g_low = g[:, ns[:, :4]]
-    casimir = g_low + _sector_polyval(x[..., :4], np.array([poly.t for poly in polys]))
+    casimir = g_low + _horner(np.array([poly.t for poly in polys]), x[..., :4])
     add("casimir-constancy", np.std(casimir, axis=-1) / np.maximum(1.0, np.max(np.abs(g_low), axis=-1)), 1e-9)
 
     add("lowest-j0-eigenvalue", np.abs(j_zero[:, :lam] - x[..., 0]), 1e-12)
@@ -442,14 +441,8 @@ def _sga_checks(stack, rows, tags):
 
     # diag [J_+, J_-] against f(J_0)
     comm = (g_plus - g)[:, ns]
-    f = _sector_polyval(x, np.array([poly.s for poly in polys]))
+    f = _horner(np.array([poly.s for poly in polys]), x)
     add("generator-consistency", np.abs(comm - f) / np.maximum(1.0, np.abs(comm)), 1e-9)
-
-
-def _sector_polyval(x, coeffs):
-    """Row mu of coeffs[k] (ascending in J_0) at row mu of x[k], for a stack of parameter
-    sets k: one polyval over every set and sector, with the per-sector call's arithmetic."""
-    return np.polynomial.polynomial.polyval(x, np.moveaxis(coeffs, -1, 0)[..., None], tensor=False)
 
 
 def _brute_norm(params, mu, z):

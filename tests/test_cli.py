@@ -175,6 +175,36 @@ def test_sga_overflow_boundary(capsys):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("lam, alpha", [
+    (2, "3e154,auto"), (3, "1e103,-1e103,auto"), (3, "1e4,-1e4,auto"), (2, "1e50,auto")])
+def test_sga_closed_forms_pass_in_the_sectors_scale(capsys, monkeypatch, lam, alpha):
+    # the closed-form Casimir is formed without overflow, and the gate compares each sector's
+    # f, h and c as one sum_i |coef_i| X^i, so these pass (no warning: it would raise here)
+    code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}")
+    assert (code, err) == (0, ""), err
+    # a closed form off by 1e-6 of its leading h coefficient still fails the gate
+    closed = cli.closed_forms
+
+    def tampered(params):
+        s, t, c = closed(params)
+        t = t.copy()
+        t[-1, -1] *= 1.0 + 1e-6
+        return s, t, c
+
+    monkeypatch.setattr(cli, "closed_forms", tampered)
+    code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}", "--format", "csv")
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: extracted polynomials deviate from closed forms by ")
+
+
+@pytest.mark.parametrize("lam, alpha", [(2, "1e200,auto"), (2, "1e300,auto"), (7, "1e50,0,0,0,0,0,auto")])
+def test_sga_root_product_overflow_is_named(capsys, lam, alpha):
+    # the root products overflow before ladder_products does: one named error, no warning
+    code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}")
+    assert (code, out) == (3, "")
+    assert err == f"error: the root product of J_+ J_- on sector 0 overflows double precision at lambda = {lam}\n"
+
+
 def test_sweep_csv_shape_and_determinism(tmp_path, capsys):
     args = [
         "sweep", "--lambda", "2", "--alpha", "0.5,-0.5", "--mu", "1",
@@ -272,6 +302,15 @@ def test_sweep_mandel_undefined_at_ground_state_is_bad_input(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[3] == "-1"  # a number state elsewhere
+
+
+@pytest.mark.parametrize("steps", [10 ** 17, 10 ** 19])
+def test_unallocatable_steps_is_one_line_bad_input(capsys, steps):
+    # 10^17 points exceed any address space, and 10^19 numpy's size limit
+    code, out, err = run(capsys, "sweep", "--lambda", "2", "--quantity", "X",
+                         "--r-from", "0", "--r-to", "1", "--steps", str(steps))
+    assert (code, out) == (1, "")
+    assert err == f"error: --steps {steps} is too many points to allocate\n"
 
 
 def test_sweep_argument_validation(capsys):

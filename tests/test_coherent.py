@@ -338,6 +338,30 @@ def test_norm_overflow_is_named():
         build_cs(p, 0, 400.0)
 
 
+@pytest.mark.parametrize("lam", [2, 3])
+def test_overflowing_label_on_a_line_is_built_once(lam, monkeypatch):
+    # the line names the overflow with the text its label raises alone, from the same
+    # number of structure_function passes: the label is not rebuilt to word the error
+    p = validate_params(lam, [0.0] * lam)
+    calls = []
+
+    def counted(params, n):
+        calls.append(len(n))
+        return structure_function(params, n)
+
+    monkeypatch.setattr(coherent, "structure_function", counted)
+    big = 400.0 if lam == 2 else 7000.0
+    with pytest.raises(TruncationError) as alone:
+        build_cs(p, 0, big)
+    n_alone, calls[:] = len(calls), []
+    for line in ([1.5, big], [0.0, 2 + 1j, big, big * 1j]):
+        with pytest.raises(TruncationError) as on_line:
+            coherent.build_states(p, 0, line)
+        assert str(on_line.value) == str(alone.value)
+        assert len(calls) == n_alone, line
+        calls[:] = []
+
+
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -419,9 +443,9 @@ def _per_point_state(p, mu, z):
         k_top *= 2
     k_last = k_lo + int(small[0]) if small.size else k_top - 2
     log_norm = float(log_acc[k_last + 2])
-    if log_norm > _LOG_MAX:
+    if log_norm > _LOG_MAX:  # the text names the first running sum past _LOG_MAX
         raise TruncationError(
-            f"normalization N_{mu} >= exp({log_norm:.6g}) at |z| = {abs(z):.6g} "
+            f"normalization N_{mu} >= exp({log_acc[np.argmax(log_acc > _LOG_MAX)]:.6g}) at |z| = {abs(z):.6g} "
             "overflows double precision"
         )
     r = math.exp(log_mag[k_last + 2] - log_mag[k_last + 1])

@@ -116,7 +116,7 @@ def test_dense_operators_equal_the_per_level_loop(lam):
             assert np.array_equal(np.diag(verify._h0_diagonal(ops)), h0)
         # a stack holds each set's own a and a† along its leading axis
         stack = dense_operators(draws, n_max)
-        assert stack.params == tuple(draws) and stack.a.shape == (len(draws), n_max + 1, n_max + 1)
+        assert stack.lam == lam and stack.a.shape == (len(draws), n_max + 1, n_max + 1)
         for k, p in enumerate(draws):
             own = dense_operators(p, n_max)
             assert np.array_equal(stack.a[k], own.a) and np.array_equal(stack.a_dag[k], own.a_dag)
@@ -141,7 +141,7 @@ def test_shared_reference_matches_per_state_reference(lam):
         shared = dense_operators(p, max(cs.n_max for cs in states) + 5)
         for cs in states:
             own = dense_operators(p, cs.n_max)
-            pairs = [(vars(dense_quadrature_moments(ops, cs.coeffs, kind)).values() for ops in (shared, own))
+            pairs = [(dense_quadrature_moments(ops, cs.coeffs, kind).ravel() for ops in (shared, own))
                      for kind in ("dressed", "real")]
             pairs.append([dense_number_moments(ops, cs.coeffs) for ops in (shared, own)])
             for got, want in pairs:
@@ -168,7 +168,7 @@ def test_dense_helpers_on_a_stack_give_each_rows_result(lam):
         lowered = verify._dense_lowered(dense, stack)
         assert lowered.shape == stack.shape
         for i, cs in enumerate(states):
-            pairs = [(moments[kind][i].ravel(), vars(dense_quadrature_moments(dense, cs.coeffs, kind)).values())
+            pairs = [(moments[kind][i].ravel(), dense_quadrature_moments(dense, cs.coeffs, kind).ravel())
                      for kind in moments]
             pairs.append(((mean_n[i], square_n[i]), dense_number_moments(dense, cs.coeffs)))
             for got, want in pairs:
@@ -219,7 +219,7 @@ def _suite_cs_per_state(seed):
             mean_n, var_n = _number_moments(cs)
             sn, sn2 = dense_number_moments(dense, cs.coeffs)
             add(verify._check("dual-route-expectations", ztag, [
-                *(abs(got - want) for got, want in zip(vars(mm).values(), vars(ss).values())),
+                *(abs(got - want) for got, want in zip(vars(mm).values(), ss.ravel())),
                 abs(mean_n - sn), abs(var_n - (sn2 - sn * sn)),
             ], 1e-11))
             add(verify._check("uncertainty-product", ztag,
@@ -285,7 +285,8 @@ def _dense_h0(fock):
 def _diagonal_factor_draws(lam):
     # alpha = 0 and two seeded admissible draws, each with its extraction-size reference
     draws = [[0.0] * lam] + [random_admissible_alpha(lam, np.random.default_rng([lam, k])) for k in (21, 22)]
-    return [dense_operators(validate_params(lam, al), verify.extraction_n_max(lam)) for al in draws]
+    params = [validate_params(lam, al) for al in draws]
+    return params, [dense_operators(p, verify.extraction_n_max(lam)) for p in params]
 
 
 @pytest.mark.parametrize("lam", [2, 3, 4, 5])
@@ -295,7 +296,7 @@ def test_diagonal_factor_scalings_equal_the_matmuls(lam):
     # the diagonals the suite reads from its lambda-only reference, against their dense matrices
     proj, _, n_diag, _, _ = verify._lambda_reference(lam)
     projectors, n_op = [np.diag(row) for row in proj], np.diag(n_diag)
-    for fock in _diagonal_factor_draws(lam):
+    for fock in _diagonal_factor_draws(lam)[1]:
         for mu in range(lam):
             nxt = projectors[(mu + 1) % lam]
             assert np.array_equal(fock.a_dag * proj[mu] - proj[(mu + 1) % lam][:, None] * fock.a_dag,
@@ -321,7 +322,7 @@ def test_diagonal_factor_scalings_equal_the_matmuls(lam):
 @pytest.mark.parametrize("lam", [2, 3, 4, 5])
 def test_diagonal_reads_and_sector_polyval_equal_the_dense_forms(lam):
     polyval = np.polynomial.polynomial.polyval
-    focks = _diagonal_factor_draws(lam)
+    params, focks = _diagonal_factor_draws(lam)
     for fock in focks:
         j_plus = np.linalg.matrix_power(fock.a_dag, lam) / lam
         j_minus = np.linalg.matrix_power(fock.a, lam) / lam
@@ -330,24 +331,24 @@ def test_diagonal_reads_and_sector_polyval_equal_the_dense_forms(lam):
         assert np.array_equal(np.einsum("ij,ji->i", j_plus, j_minus) - g,
                               np.diag(j_plus @ j_minus - j_minus @ j_plus))
         assert np.array_equal(verify._h0_diagonal(fock), np.diag(_dense_h0(fock)))
-    stack = dense_operators([fock.params for fock in focks], verify.extraction_n_max(lam))
+    stack = dense_operators(params, verify.extraction_n_max(lam))
     assert np.array_equal(verify._h0_diagonal(stack), [np.diag(_dense_h0(fock)) for fock in focks])
 
-    # one polyval over a stack of sets and every sector, J_0 on the levels k lam + mu, k < 2 lam
-    params = stack.params
+    # sga's Horner over a stack of sets and every sector, J_0 on the levels k lam + mu, k < 2 lam,
+    # against numpy's polyval one sector at a time
     polys = [build_sga(p) for p in params]
     ns = np.arange(2 * lam) * lam + np.arange(lam)[:, None]
     x = np.array([algebra.energy(p, ns) for p in params]) / lam
     for field, ks in (("t", 4), ("s", 2 * lam)):
         coeffs = np.array([getattr(poly, field) for poly in polys])
-        rows = verify._sector_polyval(x[..., :ks], coeffs)
+        rows = verify._horner(coeffs, x[..., :ks])
         loop = [[polyval(algebra.energy(p, n) / lam, c[mu]) for mu, n in enumerate(ns[:, :ks])]
                 for p, c in zip(params, coeffs)]
         assert np.array_equal(rows, loop)
     # casimir-constancy's row-wise std over a stack is the per-sector one
     j_minus, j_plus = (np.linalg.matrix_power(m, lam) / lam for m in (stack.a, stack.a_dag))
     g = np.einsum("...ij,...ji->...i", j_minus, j_plus)
-    vals = g[:, ns[:, :4]] + verify._sector_polyval(x[..., :4], np.array([poly.t for poly in polys]))
+    vals = g[:, ns[:, :4]] + verify._horner(np.array([poly.t for poly in polys]), x[..., :4])
     assert np.array_equal(np.std(vals, axis=-1), [[np.std(row) for row in rows_k] for rows_k in vals])
 
 
