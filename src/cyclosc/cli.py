@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .algebra import _check_mu, validate_params, energy
-from .sga import build_sga, closed_forms
+from .sga import _casimir_scale, build_sga, closed_forms
 # build_cs rebuilds a failing block point by point; bench/test_bench.py also
 # reads it here, as the binding its tracer wraps in every module
 from .coherent import TruncationError, build_cs, build_states
@@ -195,7 +195,7 @@ def cmd_sga(args) -> int:
                          + ", ".join(f"{v:.12g}" for v in poly.t[mu]))
             lines.append(f"  casimir: {poly.c[mu]:.12g}")
 
-    dev = None
+    dev = dev_c = 0.0
     cf = closed_forms(params)
     if cf is not None:
         # per sector, f, h and c as one sum_i |coef_i| X^i at X, the largest |J_0| build_sga
@@ -208,11 +208,19 @@ def cmd_sga(args) -> int:
             return np.abs(s) @ weights[:lam] + np.abs(t) @ weights + np.abs(c) * weights[0]
 
         dev = float(np.max(size(*(got - want for got, want in zip((poly.s, poly.t, poly.c), cf))) / size(*cf)))
+        # the sum weighs c by X^-lambda, so c also against its own scale (an inf scale
+        # passes: there alpha is so large that c weighs in the sum like the other terms)
+        dev_c = float(np.max(np.abs(poly.c - cf[2]) / _casimir_scale(params)))
         if args.format != "csv":
-            lines.append(f"closed-form max deviation: {dev:.3e} of the sector's sum")
+            lines.append(f"closed-form max deviation: {dev:.3e} of the sector's sum, "
+                         f"casimir {dev_c:.3e} of its scale")
     _write_out("\n".join(lines) + "\n", args.out)
-    if dev is not None and dev > 1e-8:
+    if dev > 1e-8:
         print(f"error: extracted polynomials deviate from closed forms by {dev:.3e} of the sector's sum",
+              file=sys.stderr)
+        return 2
+    if dev_c > 1e-8:
+        print(f"error: the extracted casimir deviates from its closed form by {dev_c:.3e} of its scale",
               file=sys.stderr)
         return 2
     return 0

@@ -1,10 +1,13 @@
 import math
+import re
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 import cyclosc.algebra
+import cyclosc.sga
 from cyclosc import cli
 from cyclosc.cli import main
 from cyclosc.coherent import build_cs
@@ -195,6 +198,44 @@ def test_sga_closed_forms_pass_in_the_sectors_scale(capsys, monkeypatch, lam, al
     code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}", "--format", "csv")
     assert code == 2 and err.count("\n") == 1
     assert err.startswith("error: extracted polynomials deviate from closed forms by ")
+
+
+@pytest.mark.parametrize("lam, alpha", [(2, None), (3, None), (2, "0.5,auto"), (3, "-0.5,0.25,auto")])
+def test_sga_casimir_is_gated_in_its_own_scale(capsys, monkeypatch, lam, alpha):
+    # the sector sum weighs c by X^-lambda, so a 1e-6 relative error in the closed-form
+    # Casimir reads about 4e-9 of it at alpha = 0; c against its own scale catches it
+    argv = ["sga", "--lambda", str(lam)] + ([f"--alpha={alpha}"] if alpha else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), err
+    assert re.search(r"casimir \S+ of its scale$", out.splitlines()[-1])
+    closed = cli.closed_forms
+
+    def tampered(params):
+        s, t, c = closed(params)
+        return s, t, c * (1.0 + 1e-6)
+
+    monkeypatch.setattr(cli, "closed_forms", tampered)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: the extracted casimir deviates from its closed form by ")
+
+
+def test_sga_casimir_scale_is_the_root_products_own():
+    # at alpha = 0 the scale is |c|; at lambda = 2, alpha_0 = 3 c_0 vanishes and its scale
+    # does not; it holds the partial sums the roots cancel, so that lambda = 3 at
+    # alpha = (1e50, 0, -1e50), whose c_1 = -1.4e49 the build rounds to 0, passes
+    for lam in (2, 3):
+        params = cyclosc.algebra.validate_params(lam, [0.0] * lam)
+        assert np.allclose(cyclosc.sga._casimir_scale(params), np.abs(cli.closed_forms(params)[2]),
+                           rtol=1e-15, atol=0.0)
+    params = cyclosc.algebra.validate_params(2, [3.0, -3.0])
+    assert cli.closed_forms(params)[2][0] == 0.0
+    assert cyclosc.sga._casimir_scale(params)[0] == 3.75
+    rng = np.random.default_rng(28)
+    for lam in (2, 3, 4, 5):
+        params = cyclosc.algebra.validate_params(lam, cyclosc.algebra.random_admissible_alpha(lam, rng))
+        assert np.all(cyclosc.sga._casimir_scale(params) >= np.abs(cyclosc.sga.build_sga(params).c))
+    assert main(["sga", "--lambda", "3", "--alpha=1e+50,0.0,auto"]) == 0
 
 
 @pytest.mark.parametrize("lam, alpha", [(2, "1e200,auto"), (2, "1e300,auto"), (7, "1e50,0,0,0,0,0,auto")])

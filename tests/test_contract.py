@@ -37,13 +37,18 @@ def _argv(draw):
     if command == "sga":
         args += ["--format", draw(st.sampled_from(["text", "csv"]))]
     elif command == "sweep":
-        radii = st.floats(0.0, 50.0, allow_nan=False)
         args += ["--mu", str(draw(st.integers(0, lam - 1))),
                  "--photons", draw(st.sampled_from(["dressed", "real"])),
-                 "--quantity", draw(st.sampled_from(_QUANTITIES)),
-                 "--r-from", repr(draw(radii)), "--r-to", repr(draw(radii)),
-                 "--phase", repr(draw(st.floats(-3.2, 3.2))),
-                 "--steps", str(draw(st.integers(2, 4)))]
+                 "--quantity", draw(st.sampled_from(_QUANTITIES))]
+        if draw(st.booleans()):  # a radial sweep, to radii past every norm's overflow
+            radii = st.one_of(st.floats(0.0, 50.0), st.floats(0.0, 1e7))
+            args += ["--r-from", repr(draw(radii)), "--r-to", repr(draw(radii)),
+                     "--phase", repr(draw(st.floats(-3.2, 3.2)))]
+        else:  # a line between two complex labels, written as Python writes a complex
+            parts = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e7, 1e7))
+            args += [f"--z-from={complex(draw(parts), draw(parts))!r}",
+                     f"--z-to={complex(draw(parts), draw(parts))!r}"]
+        args.append(f"--steps={draw(st.integers(2, 4))}")
     return [command, *args]
 
 

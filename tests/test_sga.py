@@ -44,6 +44,14 @@ def _validation_levels(lam, alpha):
     return p, energy(p, ns) / lam, low, high
 
 
+def _fit_one(p, x, low, high):
+    """sga._fit on a stack of one set: its SgaPolynomials, or its RuntimeError raised."""
+    (got,) = _fit([p], [x], [low], [high])
+    if isinstance(got, RuntimeError):
+        raise got
+    return got
+
+
 def _dense(lam, alpha):
     p = validate_params(lam, alpha)
     n_max = 3 * lam * lam + 2 * lam
@@ -141,7 +149,7 @@ def test_validator_accepts_the_levels_build_sga_fits():
     rng = np.random.default_rng(5)
     for lam in (2, 3, 4, 7):
         p, x, low, high = _validation_levels(lam, random_admissible_alpha(lam, rng))
-        got, want = _fit(p, x, low, high), build_sga(p)
+        got, want = _fit_one(p, x, low, high), build_sga(p)
         for field in ("s", "t", "c"):
             assert np.array_equal(getattr(got, field), getattr(want, field))
         assert np.max(np.abs(got.f_residual - want.f_residual)) < 1e-12
@@ -152,7 +160,7 @@ def test_tampered_representation_detected():
     p, x, low, high = _validation_levels(2, [0.5, -0.5])
     low[0, 3] *= 1.0 + 1e-5  # level 6 = 3 lambda + 0
     with pytest.raises(RuntimeError, match=r"\[J_\+, J_-\] is not a degree-1 polynomial in J_0 on sector 0 "):
-        _fit(p, x, low, high)
+        _fit_one(p, x, low, high)
 
 
 def test_top_validated_level_is_checked_in_every_sector():
@@ -162,7 +170,7 @@ def test_top_validated_level_is_checked_in_every_sector():
         p, x, low, high = _validation_levels(lam, [0.3, -0.1, 0.2, -0.4])
         low[mu, 3 * lam - 1] *= 1.0 + 1e-5
         with pytest.raises(RuntimeError, match=f"on sector {mu} "):
-            _fit(p, x, low, high)
+            _fit_one(p, x, low, high)
 
 
 def test_equal_shift_of_both_products_is_caught_on_j_plus_j_minus():
@@ -173,7 +181,7 @@ def test_equal_shift_of_both_products_is_caught_on_j_plus_j_minus():
     low[0, 2] += offset
     high[0, 2] += offset
     with pytest.raises(RuntimeError, match=r"\[J_\+, J_-\] is not a degree-2 polynomial in J_0 on sector 0 "):
-        _fit(p, x, low, high)
+        _fit_one(p, x, low, high)
 
 
 def test_ladder_products_are_the_factor_by_factor_diagonal():
@@ -204,7 +212,7 @@ def test_deformed_draws_validate_near_the_sector_floor(lam, seed):
     p = validate_params(lam, random_admissible_alpha(lam, np.random.default_rng([lam, seed])))
     poly = build_sga(p)
     assert max(poly.f_residual.max(), poly.h_residual.max()) < 1e-13
-    low, high = _root_polys(p, -np.arange(lam)), _root_polys(p, np.arange(1, lam + 1))
+    low, high = _root_polys([p], -np.arange(lam))[0], _root_polys([p], np.arange(1, lam + 1))[0]
     assert np.array_equal(poly.s, (low - high)[:, :lam])
     assert np.array_equal(poly.t[:, 1:], -high[:, 1:]) and np.all(poly.t[:, 0] == 0.0)
     assert np.array_equal(poly.c, high[:, 0])
@@ -221,7 +229,7 @@ def test_root_expansion_matches_per_sector_polyfromroots():
         for alpha in ([0.0] * lam, random_admissible_alpha(lam, rng), random_admissible_alpha(lam, rng)):
             p = validate_params(lam, alpha)
             for shifts in (-np.arange(lam), np.arange(1, lam + 1)):
-                got = _root_polys(p, shifts)
+                got = _root_polys([p], shifts)[0]
                 for mu in range(lam):
                     want = _loop_root_poly(p, mu, shifts.tolist())
                     bound = 1e-14 * np.sum(np.abs(want) * (3.0 * lam) ** np.arange(lam + 1))
@@ -235,10 +243,45 @@ def test_stacked_root_polys_equal_the_one_row_calls():
         low, high = -np.arange(lam), np.arange(1, lam + 1)
         for alpha in ([0.0] * lam, random_admissible_alpha(lam, np.random.default_rng([lam, 2024]))):
             p = validate_params(lam, alpha)
-            stacked = _root_polys(p, np.array([low, high]))
+            stacked = _root_polys([p], np.array([low, high]))[0]
             assert stacked.shape == (2, lam, lam + 1)
-            assert np.array_equal(stacked[0], _root_polys(p, low)), lam
-            assert np.array_equal(stacked[1], _root_polys(p, high)), lam
+            assert np.array_equal(stacked[0], _root_polys([p], low)[0]), lam
+            assert np.array_equal(stacked[1], _root_polys([p], high)[0]), lam
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 12])
+def test_stacked_build_gives_each_sets_polynomials(lam):
+    # one build_sga call over seeded admissible sets (and alpha = 0) gives every set the
+    # five fields of its own call, bit for bit, in order
+    rng = np.random.default_rng([lam, 28])
+    stack = [validate_params(lam, [0.0] * lam)] + [validate_params(lam, random_admissible_alpha(lam, rng))
+                                                  for _ in range(6)]
+    got = build_sga(stack)
+    assert len(got) == len(stack)
+    for p, poly in zip(stack, got):
+        alone = build_sga(p)
+        for field in ("s", "t", "c", "f_residual", "h_residual"):
+            assert getattr(poly, field).tobytes() == getattr(alone, field).tobytes(), (lam, field)
+
+
+def test_stacked_build_gives_each_failing_set_its_own_error():
+    # a set whose products overflow, in ladder_products or in the root products, gets the
+    # RuntimeError it raises alone; the sets beside it are fitted as usual
+    lam = 7
+    stack = [validate_params(lam, alpha) for alpha in (
+        [0.0] * lam, [1e50, 0, 0, 0, 0, 0, -1e50], [0.3, -0.1, 0.2, -0.4, 0, 0, 0], [1e300, 0, 0, 0, 0, 0, -1e300])]
+    got = build_sga(stack)
+    for p, poly in zip(stack, got):
+        try:
+            alone = build_sga(p)
+        except RuntimeError as exc:
+            assert isinstance(poly, RuntimeError) and str(poly) == str(exc)
+        else:
+            assert np.array_equal(poly.s, alone.s) and np.array_equal(poly.c, alone.c)
+    assert [isinstance(poly, RuntimeError) for poly in got] == [False, True, False, True]
+    with pytest.raises(ValueError, match="share one lambda"):
+        build_sga([stack[0], validate_params(2, [0.0, 0.0])])
+
 
 def _rational_alpha(lam, rng):
     # alpha on the grid k/20 with every F(mu) > 1/20; the last entry closes the sum

@@ -1,8 +1,13 @@
 import cmath
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -278,6 +283,44 @@ def test_one_undeformed_test_for_the_cs_suite_and_the_rebuilds(monkeypatch):
     assert all(r.ok for r in results)
 
 
+@pytest.mark.parametrize("r_max, bound", [(30.0, 1e-14), (300.0, 1e-12)])
+def test_bessel_norm_reference_against_mpmath(r_max, bound):
+    # the Poisson-integral norm Gamma(nu+1) r^{-nu} I_nu(2r) against mpmath's besseli at 40
+    # digits over nu in [-0.99, 6], one array call, each entry its own scalar call bit for bit
+    rng = np.random.default_rng(int(r_max))
+    nu = np.concatenate([[-0.99, -0.5, 0.0, 6.0, -0.99, 6.0], rng.uniform(-0.99, 6.0, 60)])
+    r = np.concatenate([[r_max, 1e-3, 1.0, 1e-8, 0.25, r_max], rng.uniform(0.0, r_max, 60)])
+    got = verify._bessel_norm_lambda2(nu, r)
+    with mpmath.workdps(40):
+        want = [mpmath.gamma(n + 1) * mpmath.mpf(x) ** -n * mpmath.besseli(n, 2 * x)
+                for n, x in zip(map(mpmath.mpf, nu.tolist()), r.tolist())]
+    assert max(float(abs(g - w) / w) for g, w in zip(got, want)) <= bound
+    assert [verify._bessel_norm_lambda2(n, x) for n, x in zip(nu.tolist(), r.tolist())] == got.tolist()
+    assert verify._bessel_norm_lambda2(0.3, 0.0) == 1.0
+
+
+def test_bessel_norm_reference_against_scipy_ive():
+    # scipy's exp-scaled ive, imported here only: the package's verify path loads no scipy.special
+    from scipy.special import ive
+
+    nu, r = np.meshgrid(np.linspace(-0.99, 6.0, 15), np.linspace(0.01, 30.0, 15))
+    want = ive(nu, 2.0 * r) * np.exp(2.0 * r + np.vectorize(math.lgamma)(nu + 1.0) - nu * np.log(r))
+    assert np.max(np.abs(verify._bessel_norm_lambda2(nu, r) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("suite", ["commutators", "sga", "cs"])
+def test_verify_suites_leave_scipy_special_unloaded(suite):
+    # measure's Bessel-K weight (specfun.bessel_k, scipy's kve) is the one remaining user
+    # of scipy.special; these three suites, the benchmark's verify workload, never load it
+    src = str(pathlib.Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from cyclosc import cli; "
+            f"assert cli.main(['verify', '--suite', {suite!r}, '--seed', '1']) == 0; "
+            "assert 'scipy.special' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _dense_h0(fock):
     return 0.5 * (fock.a @ fock.a_dag + fock.a_dag @ fock.a)
 
@@ -384,10 +427,10 @@ def test_failed_extraction_ends_only_its_sets_checks(monkeypatch):
     failing = verify._tag(3, [-0.5, 0.25, 0.25])
     orig = verify.build_sga
 
-    def fail_some(params):
-        if params.lam == 5 or verify._tag(3, params.alpha) == failing:
-            raise RuntimeError("no fit")
-        return orig(params)
+    def fail_some(stack):
+        # the stacked entry point: each set gets its polynomials or its RuntimeError
+        return [RuntimeError("no fit") if p.lam == 5 or verify._tag(3, p.alpha) == failing else poly
+                for p, poly in zip(stack, orig(stack))]
 
     def others(results):
         return [(r.name, r.tag, r.value.hex()) for r in results if r.tag.removesuffix(" no fit") not in failed]
