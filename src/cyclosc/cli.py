@@ -195,7 +195,7 @@ def cmd_sga(args) -> int:
                          + ", ".join(f"{v:.12g}" for v in poly.t[mu]))
             lines.append(f"  casimir: {poly.c[mu]:.12g}")
 
-    dev = dev_c = 0.0
+    dev = dev_f = dev_c = 0.0
     cf = closed_forms(params)
     if cf is not None:
         # per sector, f, h and c as one sum_i |coef_i| X^i at X, the largest |J_0| build_sga
@@ -208,21 +208,27 @@ def cmd_sga(args) -> int:
             return np.abs(s) @ weights[:lam] + np.abs(t) @ weights + np.abs(c) * weights[0]
 
         dev = float(np.max(size(*(got - want for got, want in zip((poly.s, poly.t, poly.c), cf))) / size(*cf)))
-        # the sum weighs c by X^-lambda, so c also against its own scale (an inf scale
-        # passes: there alpha is so large that c weighs in the sum like the other terms)
-        dev_c = float(np.max(np.abs(poly.c - cf[2]) / _casimir_scale(params)))
+        # the sum weighs c and f's constant by X^-lambda and X^(1-lambda), so each also
+        # against its own rounding scale, c = P_+(0) and f(0) = P_-(0) - P_+(0) (an inf
+        # scale passes: there alpha is so large that they weigh in the sum like the other terms)
+        scale_c = _casimir_scale(params)
+        with np.errstate(over="ignore"):
+            scale_f = _casimir_scale(params, -np.arange(lam)) + scale_c
+        dev_f = float(np.max(np.abs(poly.s[:, 0] - cf[0][:, 0]) / scale_f))
+        dev_c = float(np.max(np.abs(poly.c - cf[2]) / scale_c))
         if args.format != "csv":
             lines.append(f"closed-form max deviation: {dev:.3e} of the sector's sum, "
-                         f"casimir {dev_c:.3e} of its scale")
+                         f"f constant {dev_f:.3e} of its scale, casimir {dev_c:.3e} of its scale")
     _write_out("\n".join(lines) + "\n", args.out)
     if dev > 1e-8:
         print(f"error: extracted polynomials deviate from closed forms by {dev:.3e} of the sector's sum",
               file=sys.stderr)
         return 2
-    if dev_c > 1e-8:
-        print(f"error: the extracted casimir deviates from its closed form by {dev_c:.3e} of its scale",
-              file=sys.stderr)
-        return 2
+    for name, d in (("f constant", dev_f), ("casimir", dev_c)):
+        if d > 1e-8:
+            print(f"error: the extracted {name} deviates from its closed form by {d:.3e} of its scale",
+                  file=sys.stderr)
+            return 2
     return 0
 
 

@@ -12,11 +12,13 @@ product whose logarithms build_cs sums.  Closed-form weights
 exist for lambda = 2 (a Bessel-K density, any admissible alpha) and for
 alpha = 0 at any lambda (a stretched-exponential photon density); both are
 verified here against the targets above by a double-exponential rule in
-u = y^{1/lambda}, one vectorised weight call per integral.
+u = y^{1/lambda}, one vectorised weight call per integral on nodes formed once per
+lambda.  The Bessel-K weight's K_nu is specfun.bessel_k, numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +73,7 @@ def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
         raise ValueError(f"k must be a nonnegative integer, got {k}")
     k = int(k)
     with np.errstate(over="ignore"):  # an overflow is named below
-        d2 = float(np.prod(structure_function(params, np.arange(mu + 1, k * lam + mu + 1)) / lam))
+        d2 = float((structure_function(params, np.arange(mu + 1, k * lam + mu + 1)) / lam).prod())
         norm = math.pi * np.float64(lam) ** (lam - 2)
     for name, v in (("D_k^2", d2), ("pi lambda^(lambda-2)", norm)):
         if v == math.inf:
@@ -86,17 +88,30 @@ def weight_lambda2(params: AlgebraParams, mu: int, y):
                   / (pi Gamma(bb_1 + mu)),
 
     i.e. the two-gamma Mellin density with exponent pair (0, bb_1 - 1 + mu).
-    Positive for all y > 0; y is a float or an array."""
+    Positive for all y > 0; y is a float or an array.  Raises RuntimeError where
+    pi Gamma(bb_1 + mu) overflows double precision, from bb_1 + mu = 171.40
+    (alpha_0 = 339.8 at mu = 1, 341.8 at mu = 0)."""
     if params.lam != 2:
         raise ValueError("weight_lambda2 requires lambda = 2")
     mu = _check_mu(2, mu)
-    if not np.all((y > 0) & (y < math.inf)):
+    y = np.asarray(y, dtype=float)
+    if y.size and not (y.min() > 0 and y.max() < math.inf):  # min and max are NaN where any y is
         raise ValueError("y must be finite and positive")
+    b = params.beta_bar[1] + mu
+    try:
+        norm = math.pi * math.gamma(b)
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise RuntimeError(f"pi Gamma(beta_bar_1 + mu) = pi Gamma({b:.6g}) overflows double precision "
+                           f"at lambda = 2, mu = {mu}")
     a2 = params.beta_bar[1] - 1.0 + mu
     kv = bessel_k(a2, 2.0 * np.sqrt(y))
-    over = np.isinf(kv)  # only for a2 > 2 near y = 0, where y^{a2/2} K is Gamma(a2)/2 within y/(a2-1)
-    ya_k = np.where(over, math.gamma(max(a2, 1.0)) / 2.0, y ** (a2 / 2.0) * np.where(over, 0.0, kv))
-    return 2.0 * ya_k / (math.pi * math.gamma(params.beta_bar[1] + mu))
+    root = y ** (a2 / 4.0)  # y^{a2/2} K as root (root K): y^{a2/2} alone overflows from a2 = 153 on the nodes
+    if kv.max() == math.inf:  # only for a2 > 2 near y = 0, where y^{a2/2} K is Gamma(a2)/2 within y/(a2-1)
+        over = np.isinf(kv)
+        return (2.0 / norm) * np.where(over, math.gamma(max(a2, 1.0)) / 2.0, root * (root * np.where(over, 0.0, kv)))
+    return (2.0 / norm) * (root * (root * kv))
 
 
 def weight_photon(lam: int, mu: int, y):
@@ -119,24 +134,36 @@ def weight_photon(lam: int, mu: int, y):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _nodes(lam: int):
+    """The nodes of _moment_integrals at one lambda, formed once: y = u^lam on the nodes
+    from the first whose y is a normal double (>= 1e-300), log u there, log u on the
+    nodes below relative to the first, and the step in log u between the first two."""
+    lo = int(np.searchsorted(_LOG_U, math.log(1e-300) / lam))
+    y = np.exp(lam * _LOG_U[lo:])
+    y.flags.writeable = False  # every weight call at this lambda reads it
+    return y, _LOG_U[lo:], _LOG_U[:lo] - _LOG_U[lo], float(_LOG_U[lo + 1] - _LOG_U[lo])
+
+
 def _moment_integrals(weight, lam: int, ks) -> list:
     """∫_0^∞ weight(y) y^k dy for each k in ks from one weight call on the
     nodes whose y = u^lam is a normal double (>= 1e-300); see moment_check.
     Terms are summed from their logarithms, so y^{k+1} cannot overflow."""
-    lo = int(np.searchsorted(_LOG_U, math.log(1e-300) / lam))
-    h = weight(np.exp(lam * _LOG_U[lo:]))
+    y, log_u, below, step = _nodes(lam)
+    h = weight(y)
     with np.errstate(divide="ignore", invalid="ignore"):  # h = 0 gives -inf, h < 0 NaN
         log_h = np.log(h)
+    h0, h1 = float(h[0]), float(h[1])
     values = []
     for k in ks:
         if k > 12:
             raise ValueError("moment order k must be <= 12")
-        log_g = log_h + lam * (k + 1) * _LOG_U[lo:]  # log(y^{k+1} h)
-        if h[0] > 0 and h[1] > 0:  # below, y^{k+1} h goes on as the power law u^p through nodes 0, 1
-            p = lam * (k + 1) + math.log(h[1] / h[0]) / (_LOG_U[lo + 1] - _LOG_U[lo])
+        log_g = log_h + lam * (k + 1) * log_u  # log(y^{k+1} h)
+        if h0 > 0 and h1 > 0:  # below, y^{k+1} h goes on as the power law u^p through nodes 0, 1
+            p = lam * (k + 1) + math.log(h1 / h0) / step
             if not p > 0:
                 raise RuntimeError("moment integrand is not integrable at y = 0")
-            log_g = np.concatenate([log_g[0] + p * (_LOG_U[:lo] - _LOG_U[lo]), log_g])
+            log_g = np.concatenate([log_g[0] + p * below, log_g])
         log_t = log_g + _LOG_JAC[-log_g.size:]
         top = log_t.max()
         if not math.isfinite(top):

@@ -12,7 +12,7 @@ sector, with h of degree lambda.
 J_+ J_- and J_- J_+ are diagonal, prod_{j=0}^{lambda-1} F(n-j) / lambda^2 and
 prod_{j=1}^{lambda} F(n+j) / lambda^2 on |n> (algebra.ladder_products at n and
 n + lambda); on sector mu they are P_- and P_+ = lambda^{lambda-2} prod_j (J_0 - r_j),
-r_j = (gamma_mu + 1/2 - j - beta_{(mu+j) mod lambda}) / lambda, over j = 0, -1,
+r_j = ((gamma_mu - beta_{(mu+j) mod lambda}) + (1/2 - j)) / lambda, over j = 0, -1,
 ..., 1-lambda and j = 1..lambda, both expanded in one pass.  One call,
 build_sga(params), validates both against the diagonals at the levels
 k lambda + mu, k <= 3 lambda - 1, of every sector in one stacked Horner pass
@@ -34,8 +34,8 @@ implementation bug.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
-_casimir_scale is the rounding scale of the product that forms c, against which the
-sga command compares c with its closed form.
+_casimir_scale is the rounding scale of a root product's constant term, against which
+the sga command compares c = P_+(0) and f(0) = P_-(0) - P_+(0) with their closed forms.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _root_polys(sets, shifts: np.ndarray) -> np.ndarray:
     rows = (slice(None),) + (None,) * (index.ndim - 2)  # the set axis, then the rows of shifts
     beta = np.array([p.beta for p in sets])[:, index]
     gamma = np.array([p.gamma for p in sets])[rows + (slice(None), None)]
-    roots = (gamma + 0.5 - shifts - beta) / lam
+    roots = ((gamma - beta) + (0.5 - shifts)) / lam  # the O(1) part survives gamma ~ beta
     p = np.zeros(roots.shape[:-1] + (lam + 1,))
     p[..., 0] = float(lam) ** (lam - 2)
     for j in range(lam):
@@ -204,16 +204,19 @@ def closed_forms(params: AlgebraParams):
     return None
 
 
-def _casimir_scale(params: AlgebraParams) -> np.ndarray:
-    """Per sector, the rounding scale of the Casimir c_mu = P_+(0) = lambda^{lambda-2}
-    prod_{j=1..lambda} (-r_j) that build_sga forms: the same product with each root's
-    terms in absolute value, lambda^{lambda-2} prod_j (|gamma_mu| + |1/2 - j| +
-    |beta_{(mu+j) mod lambda}|) / lambda.  It is |c_mu| at alpha = 0 and never 0 (c_0 = 0
-    at alpha_0 = 3, lambda = 2, where it is 3.75); it grows with the partial sums beta that
-    the roots cancel (at lambda = 3, alpha = (1e50, 0, -1e50), c_1 = -1.4e49 loses every
-    digit to them, against a scale of 4.4e149); inf where it leaves the double range."""
+def _casimir_scale(params: AlgebraParams, shifts=None) -> np.ndarray:
+    """Per sector, the rounding scale of the constant term P(0) = lambda^{lambda-2}
+    prod_j (-r_j) of the root product over the row of shifts j that build_sga forms: the
+    same product with each root's terms in absolute value, lambda^{lambda-2} prod_j
+    (|gamma_mu| + |1/2 - j| + |beta_{(mu+j) mod lambda}|) / lambda.  The default row
+    1..lambda is P_+, whose P_+(0) is the Casimir c_mu; the row 0, -1, ..., 1-lambda is
+    P_-, and f(0) = P_-(0) - P_+(0) rounds on the sum of the two scales.  At alpha = 0 the
+    Casimir's is |c_mu|; it is never 0 (c_0 = 0 at alpha_0 = 3, lambda = 2, where it is
+    3.75); it grows with the partial sums beta that the roots cancel (at lambda = 3,
+    alpha = (1e50, 0, -1e50), c_1 = -1.4e49 against a scale of 4.4e149); inf where it
+    leaves the double range."""
     lam = params.lam
-    j = np.arange(1, lam + 1)
+    j = np.arange(1, lam + 1) if shifts is None else np.asarray(shifts)
     terms = np.abs(params.gamma)[:, None] + np.abs(0.5 - j) + np.abs(params.beta[(np.arange(lam)[:, None] + j) % lam])
     with np.errstate(over="ignore"):
         return float(lam) ** (lam - 2) * np.prod(terms / lam, axis=1)

@@ -5,9 +5,9 @@ matrices, their lambda-th powers and quadratic forms (production forms none),
 the coherent-state norm summed term by term, the lambda = 2 norm from Poisson's
 integral for I_nu on a fixed tanh-sinh grid (_bessel_norm_lambda2, within 1.7e-15
 of mpmath for nu in [-0.99, 6] and r <= 300), and the alpha = 0 state rebuilt from
-its Mittag-Leffler form.  These references need numpy and the standard library
-only, so the commutators, sga and cs suites never import scipy.special; the
-measure suite loads it through measure's Bessel-K weight.
+its Mittag-Leffler form.  These references, like the production routes (measure's
+Bessel-K weight included), need numpy and the standard library only, so no suite
+imports scipy.
 
 The dense reference is the ladder pair: dense_operators forms a and a† only, and a
 check that compares N, P_mu, b, b† or h0 forms it from index vectors (arange, the

@@ -220,10 +220,51 @@ def test_sga_casimir_is_gated_in_its_own_scale(capsys, monkeypatch, lam, alpha):
     assert err.startswith("error: the extracted casimir deviates from its closed form by ")
 
 
+@pytest.mark.parametrize("alpha", [None, "-0.5,0.25,auto"])
+def test_sga_f_constant_is_gated_in_its_own_scale(capsys, monkeypatch, alpha):
+    # the sector sum weighs f's constant by X^(1-lambda), so a 1e-6 relative error in the
+    # closed form's reads about 1e-10 of it; f(0) = P_-(0) - P_+(0) against the sum of the two
+    # root products' rounding scales reads 1e-6 at alpha = 0 and 5e-7 deformed
+    argv = ["sga", "--lambda", "3"] + ([f"--alpha={alpha}"] if alpha else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, ""), err
+    assert re.search(r"f constant \S+ of its scale, casimir", out.splitlines()[-1])
+    closed = cli.closed_forms
+
+    def tampered(params):
+        s, t, c = closed(params)
+        s = s.copy()
+        s[:, 0] *= 1.0 + 1e-6
+        return s, t, c
+
+    monkeypatch.setattr(cli, "closed_forms", tampered)
+    code, out, err = run(capsys, *argv)
+    dev = float(re.search(r"f constant (\S+) of its scale", out.splitlines()[-1]).group(1))
+    assert 1e-7 < dev <= 1.01e-6
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith("error: the extracted f constant deviates from its closed form by ")
+
+
+def test_sga_f_constant_lost_to_the_root_products_passes(capsys, monkeypatch):
+    # at lambda = 3, alpha = (1e50, 0, -1e50) P_-(0) and P_+(0) are about 1e148 and f(0) is
+    # rounded away in their difference; that loss is inside the scale, so a 1e-6 error passes
+    closed = cli.closed_forms
+
+    def tampered(params):
+        s, t, c = closed(params)
+        s = s.copy()
+        s[:, 0] = s[:, 0] * (1.0 + 1e-6) + 1e-6
+        return s, t, c
+
+    monkeypatch.setattr(cli, "closed_forms", tampered)
+    code, out, err = run(capsys, "sga", "--lambda", "3", "--alpha=1e50,0,auto")
+    assert (code, err) == (0, ""), err
+
+
 def test_sga_casimir_scale_is_the_root_products_own():
     # at alpha = 0 the scale is |c|; at lambda = 2, alpha_0 = 3 c_0 vanishes and its scale
     # does not; it holds the partial sums the roots cancel, so that lambda = 3 at
-    # alpha = (1e50, 0, -1e50), whose c_1 = -1.4e49 the build rounds to 0, passes
+    # alpha = (1e50, 0, -1e50), whose c_1 = -1.4e49 sits far below them, passes
     for lam in (2, 3):
         params = cyclosc.algebra.validate_params(lam, [0.0] * lam)
         assert np.allclose(cyclosc.sga._casimir_scale(params), np.abs(cli.closed_forms(params)[2]),

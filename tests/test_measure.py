@@ -220,6 +220,34 @@ def test_unity_diagonal_lambda2():
     assert np.max(np.abs(entries - 1.0)) < 1e-7
 
 
+@pytest.mark.parametrize("a0", [50.0, 168.0, 175.0])
+def test_unity_diagonal_lambda2_at_large_orders(a0):
+    # the Bessel-K orders reach 88 at alpha_0 = 175: the upward recurrence from the base
+    # pair keeps the moments within the unity bound
+    entries = unity_reconstruction(validate_params(2, [a0, -a0]), "lambda2", 2)
+    assert np.max(np.abs(entries - 1.0)) < 1e-7
+
+
+@pytest.mark.parametrize("a0, mus", [(339.0, ()), (340.0, (1,)), (400.0, (0, 1))])
+def test_lambda2_weight_names_the_gamma_overflow(a0, mus):
+    # pi Gamma(beta_bar_1 + mu) leaves the double range from beta_bar_1 + mu = 171.40
+    # (alpha_0 = 339.8 at mu = 1, 341.8 at mu = 0); the weight, moment_check and
+    # unity_reconstruction raise one named RuntimeError there, no OverflowError, no 0.0
+    p = validate_params(2, [a0, -a0])
+    msg = r"^pi Gamma\(beta_bar_1 \+ mu\) = pi Gamma\(\S+\) overflows double precision at lambda = 2, mu = [01]$"
+    for mu in (0, 1):
+        if mu not in mus:
+            assert weight_lambda2(p, mu, 1.0) > 0.0
+            continue
+        with pytest.raises(RuntimeError, match=msg):
+            weight_lambda2(p, mu, np.array([0.5, 2.0]))
+        with pytest.raises(RuntimeError, match=msg):
+            moment_check(partial(weight_lambda2, p, mu), mu, 0, moment_target(p, mu, 0))
+    if mus:
+        with pytest.raises(RuntimeError, match=msg):
+            unity_reconstruction(p, "lambda2", 1)
+
+
 def test_unity_diagonal_photon():
     p = validate_params(3, [0.0, 0.0, 0.0])
     entries = unity_reconstruction(p, "photon", 4)

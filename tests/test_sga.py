@@ -249,6 +249,17 @@ def test_stacked_root_polys_equal_the_one_row_calls():
             assert np.array_equal(stacked[1], _root_polys([p], high)[0]), lam
 
 
+def test_roots_keep_their_order_one_part_beside_large_partial_sums():
+    # at lambda = 3, alpha = (1e50, 0, -1e50) gamma_1 and beta_2 are about 1e50 and cancel:
+    # each root is ((gamma_mu - beta_{mu+j}) + (1/2 - j)) / lambda, so the O(1) part is not
+    # rounded away before the subtraction and c_1 is the closed form's -1.389e49, not 0
+    p = validate_params(3, [1e50, 0.0, -1e50])
+    poly = build_sga(p)
+    c_cf = closed_forms(p)[2]
+    assert math.isclose(c_cf[1], -1.3888888888888889e49, rel_tol=1e-15)
+    assert np.allclose(poly.c, c_cf, rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("lam", [2, 3, 4, 5, 6, 12])
 def test_stacked_build_gives_each_sets_polynomials(lam):
     # one build_sga call over seeded admissible sets (and alpha = 0) gives every set the

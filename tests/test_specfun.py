@@ -24,6 +24,20 @@ def test_bessel_k_against_mpmath():
             assert math.isclose(bessel_k(nu, x), ref, rel_tol=1e-13), (nu, x)
 
 
+@pytest.mark.parametrize("nu", [-0.99, -1e-12, 0.0, 1e-9, 0.4999, 0.9999, 2.5, 4.4999, 25.0, 88.0, 150.0])
+def test_bessel_k_numpy_route_against_mpmath(nu):
+    # Temme's series at x <= 2 (mu near 0 and near 1/2 included), the trapezoid rule above,
+    # and the upward recurrence to nu = 150; a dense band straddles the switch at x = 2
+    xs = np.concatenate([np.geomspace(1e-6, 700.0, 40), np.linspace(1.9, 2.1, 41)])
+    got = bessel_k(nu, xs)
+    for x, k in zip(xs, got):
+        ref = mpmath.besselk(nu, x)
+        if ref > sys.float_info.max:
+            assert k == math.inf, (nu, x)
+        else:
+            assert math.isclose(k, float(ref), rel_tol=1e-13), (nu, x)
+
+
 def test_bessel_k_takes_arrays():
     x = np.geomspace(1e-6, 750.0, 60)
     for nu in (-0.99, 0.0, 2.5):

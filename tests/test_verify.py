@@ -308,15 +308,27 @@ def test_bessel_norm_reference_against_scipy_ive():
     assert np.max(np.abs(verify._bessel_norm_lambda2(nu, r) - want) / want) <= 1e-13
 
 
-@pytest.mark.parametrize("suite", ["commutators", "sga", "cs"])
+@pytest.mark.parametrize("suite", ["commutators", "sga", "cs", "measure", "all"])
 def test_verify_suites_leave_scipy_special_unloaded(suite):
-    # measure's Bessel-K weight (specfun.bessel_k, scipy's kve) is the one remaining user
-    # of scipy.special; these three suites, the benchmark's verify workload, never load it
+    # every suite, the benchmark's verify workload's three and measure's Bessel-K weight
+    # (specfun.bessel_k, numpy only) among them, runs without scipy.special
     src = str(pathlib.Path(verify.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = ("import sys; from cyclosc import cli; "
             f"assert cli.main(['verify', '--suite', {suite!r}, '--seed', '1']) == 0; "
             "assert 'scipy.special' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_all_and_unity_reconstruction_load_no_scipy():
+    # no module of the scipy package at all, under -W error
+    src = str(pathlib.Path(verify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from cyclosc import cli, measure, validate_params; "
+            "assert cli.main(['verify', '--suite', 'all', '--seed', '1']) == 0; "
+            "measure.unity_reconstruction(validate_params(2, [0.5, -0.5]), 'lambda2', 3); "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
