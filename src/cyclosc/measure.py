@@ -108,10 +108,8 @@ def weight_lambda2(params: AlgebraParams, mu: int, y):
     a2 = params.beta_bar[1] - 1.0 + mu
     kv = bessel_k(a2, 2.0 * np.sqrt(y))
     root = y ** (a2 / 4.0)  # y^{a2/2} K as root (root K): y^{a2/2} alone overflows from a2 = 153 on the nodes
-    if kv.max() == math.inf:  # only for a2 > 2 near y = 0, where y^{a2/2} K is Gamma(a2)/2 within y/(a2-1)
-        over = np.isinf(kv)
-        return (2.0 / norm) * np.where(over, math.gamma(max(a2, 1.0)) / 2.0, root * (root * np.where(over, 0.0, kv)))
-    return (2.0 / norm) * (root * (root * kv))
+    over = np.isinf(kv)  # only for a2 > 2 near y = 0, where y^{a2/2} K is Gamma(a2)/2 within y/(a2-1)
+    return (2.0 / norm) * np.where(over, math.gamma(max(a2, 1.0)) / 2.0, root * (root * np.where(over, 0.0, kv)))
 
 
 def weight_photon(lam: int, mu: int, y):

@@ -195,7 +195,10 @@ def _trapezoid(mu: float, x: np.ndarray, orders: slice) -> list:
 def _upward(base, direct: int, mu: float, n: int, x: np.ndarray) -> np.ndarray:
     """K_{n+mu}(x) (times e^x from _trapezoid): base at that order itself where n <= direct,
     else base's pair K_mu, K_{mu+1} and the upward recurrence K_{nu+1} = K_{nu-1} +
-    (2 nu/x) K_nu, which is stable for K."""
+    (2 nu/x) K_nu, which is stable for K.  direct is 1 for _temme, whose table holds two
+    orders, and 2 for _trapezoid: at n = 2 the rule at mu + 2 itself takes 29 us on the
+    130 nodes above x = 2 of the lambda = 2 moment grid, against 38 us for the pair and
+    one step, and the benchmark's measure ops at n = 2 (alpha_0 >= 2, mu = 1) are its tail."""
     if n <= direct:
         return base(mu, x, slice(n, n + 1))[0]
     k0, k1 = base(mu, x, slice(0, 2))
@@ -213,8 +216,11 @@ def bessel_k(nu: float, x):
     which also gives K_{mu+2}; from there the upward recurrence K_{nu+1} = K_{nu-1} +
     (2 nu/x) K_nu, stable for K, reaches nu on each side (_upward), and the x > 2 side is
     multiplied by e^{-x} last, so it keeps full precision until e^{-x} underflows
-    (K_0(750) is 0.0).  Only the orders the recurrence needs are formed; its cost grows
-    linearly with n.
+    (K_0(750) is 0.0).  Only the orders the recurrence needs are formed.
+    Its cost grows linearly with n, three array operations per step: on the 335-node
+    lambda = 2 moment grid it runs at 0.95-1.12x scipy kve's time for nu <= 1.64 (the
+    benchmark's orders), but at 1.6-1.7x at nu = 25 and 4.2-4.3x at nu = 88
+    (BENCH_29.json), a known loss for large-alpha_0 lambda = 2 weights.
     Against mpmath besselk at 30 digits the result is within 1.8e-14 relative for nu in
     [-0.99, 150.3] and x in [1e-6, 700]; where K_nu(x) leaves the double range (large
     nu at small x) it is inf.  Every step is elementwise or a sum along one row, so an
@@ -231,17 +237,11 @@ def bessel_k(nu: float, x):
     n = int(math.floor(nu + 0.5))
     mu = nu - n
     small = xs <= 2.0
-    n_small = int(np.count_nonzero(small))
+    large = ~small
+    x_large = xs[large]
+    out = np.empty_like(xs)
     with np.errstate(over="ignore"):  # K_nu(x) past the double range is inf
-        if n_small == xs.size:
-            out = _upward(_temme, 1, mu, n, xs)
-        elif n_small == 0:
-            out = _upward(_trapezoid, 2, mu, n, xs) * np.exp(-xs)
-        else:
-            large = ~small
-            x_large = xs[large]
-            out = np.empty_like(xs)
-            out[small] = _upward(_temme, 1, mu, n, xs[small])
-            out[large] = _upward(_trapezoid, 2, mu, n, x_large) * np.exp(-x_large)
+        out[small] = _upward(_temme, 1, mu, n, xs[small])
+        out[large] = _upward(_trapezoid, 2, mu, n, x_large) * np.exp(-x_large)
     out = out.reshape(xa.shape)
     return out[()] if xa.ndim == 0 else out

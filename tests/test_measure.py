@@ -182,6 +182,9 @@ def test_weights_take_arrays():
         for mu in (0, lam - 1):
             np.testing.assert_allclose(weight_photon(lam, mu, y), [weight_photon(lam, mu, v) for v in y],
                                        rtol=1e-14, atol=0.0)
+    empty = np.array([])  # an empty y gives an empty weight
+    assert weight_lambda2(validate_params(2, [5.0, -5.0]), 1, empty).shape == (0,)
+    assert weight_photon(3, 2, empty).shape == (0,)
 
 
 def test_lambda2_weight_near_zero_where_bessel_overflows():
