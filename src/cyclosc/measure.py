@@ -81,6 +81,14 @@ def moment_target(params: AlgebraParams, mu: int, k: int) -> MomentTarget:
     return MomentTarget(mu, k, d2 / float(norm), lam)
 
 
+def _positive_y(y) -> np.ndarray:
+    """y as a float array (0-d for a number), else the ValueError of a weight's radial argument."""
+    y = np.asarray(y, dtype=float)
+    if y.size and not (y.min() > 0 and y.max() < math.inf):  # min and max are NaN where any y is
+        raise ValueError("y must be finite and positive")
+    return y
+
+
 def weight_lambda2(params: AlgebraParams, mu: int, y):
     """Radial weight for lambda = 2:
 
@@ -88,15 +96,13 @@ def weight_lambda2(params: AlgebraParams, mu: int, y):
                   / (pi Gamma(bb_1 + mu)),
 
     i.e. the two-gamma Mellin density with exponent pair (0, bb_1 - 1 + mu).
-    Positive for all y > 0; y is a float or an array.  Raises RuntimeError where
+    Positive for all y > 0; y is a float, a list or an array.  Raises RuntimeError where
     pi Gamma(bb_1 + mu) overflows double precision, from bb_1 + mu = 171.40
     (alpha_0 = 339.8 at mu = 1, 341.8 at mu = 0)."""
     if params.lam != 2:
         raise ValueError("weight_lambda2 requires lambda = 2")
     mu = _check_mu(2, mu)
-    y = np.asarray(y, dtype=float)
-    if y.size and not (y.min() > 0 and y.max() < math.inf):  # min and max are NaN where any y is
-        raise ValueError("y must be finite and positive")
+    y = _positive_y(y)
     b = params.beta_bar[1] + mu
     try:
         norm = math.pi * math.gamma(b)
@@ -119,11 +125,10 @@ def weight_photon(lam: int, mu: int, y):
                   exp(-lambda y^{1/lambda}).
 
     The y -> 0 singularity is integrable; the u = y^{1/lambda} substitution
-    used by moment_check removes it exactly.  y is a float or an array."""
+    used by moment_check removes it exactly.  y is a float, a list or an array."""
     lam = _check_lam(lam)
     mu = _check_mu(lam, mu)
-    if not np.all((y > 0) & (y < math.inf)):
-        raise ValueError("y must be finite and positive")
+    y = _positive_y(y)
     return (
         lam ** (mu - lam + 2)
         / (math.pi * math.gamma(mu + 1))

@@ -34,8 +34,9 @@ implementation bug.
 
 The constant term of h is fixed to zero (any constant can be traded between
 h and the Casimir eigenvalues); closed_forms shares that normalization.
-_casimir_scale is the rounding scale of a root product's constant term, against which
-the sga command compares c = P_+(0) and f(0) = P_-(0) - P_+(0) with their closed forms.
+closed_form_deviation compares every coefficient of f, h and c with its closed form in
+its own rounding scale, the root products expanded with each root's terms in absolute
+value (_rounding_scales); the sga command gates on it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .algebra import AlgebraParams, energy, ladder_products
 
-__all__ = ["SgaPolynomials", "build_sga", "closed_forms"]
+__all__ = ["SgaPolynomials", "build_sga", "closed_form_deviation", "closed_forms"]
 
 
 @dataclass(frozen=True)
@@ -73,12 +74,14 @@ def build_sga(params):
     the Casimir eigenvalue c_mu, validated (_fit) against ladder_products up to
     the top level it reads.  params is one AlgebraParams, whose SgaPolynomials this
     returns, or a sequence of them sharing lambda, fitted together, for which it
-    returns a list holding each set's SgaPolynomials or the RuntimeError that set
-    raises alone: where ladder_products overflows double precision, or a validation
-    residual is not below 1e-8.
+    returns a list (empty for none) holding each set's SgaPolynomials or the RuntimeError
+    that set raises alone: where ladder_products overflows double precision, or a
+    validation residual is not below 1e-8.
     """
     single = isinstance(params, AlgebraParams)
     sets = (params,) if single else tuple(params)
+    if not sets:
+        return []
     if len({p.lam for p in sets}) != 1:
         raise ValueError("a stack of parameter sets must share one lambda")
     lam = sets[0].lam
@@ -115,7 +118,12 @@ def _root_polys(sets, shifts: np.ndarray) -> np.ndarray:
     rows = (slice(None),) + (None,) * (index.ndim - 2)  # the set axis, then the rows of shifts
     beta = np.array([p.beta for p in sets])[:, index]
     gamma = np.array([p.gamma for p in sets])[rows + (slice(None), None)]
-    roots = ((gamma - beta) + (0.5 - shifts)) / lam  # the O(1) part survives gamma ~ beta
+    return _expand(((gamma - beta) + (0.5 - shifts)) / lam)  # the O(1) part survives gamma ~ beta
+
+
+def _expand(roots: np.ndarray) -> np.ndarray:
+    """lambda^{lambda-2} prod_j (J_0 - r_j) over roots' last axis, ascending in J_0."""
+    lam = roots.shape[-1]
     p = np.zeros(roots.shape[:-1] + (lam + 1,))
     p[..., 0] = float(lam) ** (lam - 2)
     for j in range(lam):
@@ -204,19 +212,28 @@ def closed_forms(params: AlgebraParams):
     return None
 
 
-def _casimir_scale(params: AlgebraParams, shifts=None) -> np.ndarray:
-    """Per sector, the rounding scale of the constant term P(0) = lambda^{lambda-2}
-    prod_j (-r_j) of the root product over the row of shifts j that build_sga forms: the
-    same product with each root's terms in absolute value, lambda^{lambda-2} prod_j
-    (|gamma_mu| + |1/2 - j| + |beta_{(mu+j) mod lambda}|) / lambda.  The default row
-    1..lambda is P_+, whose P_+(0) is the Casimir c_mu; the row 0, -1, ..., 1-lambda is
-    P_-, and f(0) = P_-(0) - P_+(0) rounds on the sum of the two scales.  At alpha = 0 the
-    Casimir's is |c_mu|; it is never 0 (c_0 = 0 at alpha_0 = 3, lambda = 2, where it is
-    3.75); it grows with the partial sums beta that the roots cancel (at lambda = 3,
-    alpha = (1e50, 0, -1e50), c_1 = -1.4e49 against a scale of 4.4e149); inf where it
-    leaves the double range."""
+def _rounding_scales(params: AlgebraParams):
+    """Per sector, the rounding scale of each coefficient of f, h and c, shaped as closed_forms'
+    (s, t, c): the root products that build_sga expands, each root's terms in absolute value,
+    S = lambda^{lambda-2} prod_j (J_0 + rho_j), rho_j = (|gamma_mu| + |1/2 - j| +
+    |beta_{(mu+j) mod lambda}|) / lambda over P_-'s shifts j = 0, -1, ..., 1-lambda (S_-) and
+    P_+'s j = 1..lambda (S_+) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 5).  f's is (S_- + S_+)[:lambda], h's S_+ and c's S_+(0): |c_mu| at alpha = 0, 3.75
+    where c_0 = 0 (lambda = 2, alpha_0 = 3), and inf where it leaves the double range."""
     lam = params.lam
-    j = np.arange(1, lam + 1) if shifts is None else np.asarray(shifts)
-    terms = np.abs(params.gamma)[:, None] + np.abs(0.5 - j) + np.abs(params.beta[(np.arange(lam)[:, None] + j) % lam])
-    with np.errstate(over="ignore"):
-        return float(lam) ** (lam - 2) * np.prod(terms / lam, axis=1)
+    j = np.array([-np.arange(lam), np.arange(1, lam + 1)])[:, None, :]
+    rho = (np.abs(params.gamma)[:, None] + np.abs(0.5 - j)
+           + np.abs(params.beta[(np.arange(lam)[:, None] + j) % lam])) / lam
+    low, high = _expand(-rho)
+    return (low + high)[:, :lam], high, high[:, 0]
+
+
+def closed_form_deviation(params: AlgebraParams, poly: SgaPolynomials):
+    """The largest |got - want| / scale over the coefficients of poly's f, h and c and their
+    closed_forms, in _rounding_scales, for lambda in {2, 3}; None otherwise.  An inf scale passes."""
+    want = closed_forms(params)
+    if want is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = np.abs(np.column_stack([poly.s, poly.t, poly.c]) - np.column_stack(want))
+        return float(np.max(dev / np.column_stack(_rounding_scales(params))))

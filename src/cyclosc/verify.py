@@ -170,6 +170,8 @@ def dense_operators(params, n_max: int) -> DenseOperators:
     a and a† are the leading blocks of these."""
     single = isinstance(params, algebra.AlgebraParams)
     sets = (params,) if single else tuple(params)
+    if not sets:
+        raise ValueError("an empty stack of parameter sets has no lambda")
     if len({p.lam for p in sets}) != 1:
         raise ValueError("a stack of parameter sets must share one lambda")
     levels = np.arange(1, n_max + 1)

@@ -181,12 +181,12 @@ def test_sga_overflow_boundary(capsys):
 @pytest.mark.parametrize("lam, alpha", [
     (2, "3e154,auto"), (3, "1e103,-1e103,auto"), (3, "1e4,-1e4,auto"), (2, "1e50,auto")])
 def test_sga_closed_forms_pass_in_the_sectors_scale(capsys, monkeypatch, lam, alpha):
-    # the closed-form Casimir is formed without overflow, and the gate compares each sector's
-    # f, h and c as one sum_i |coef_i| X^i, so these pass (no warning: it would raise here)
+    # the closed-form Casimir is formed without overflow, and each coefficient is compared in
+    # its own rounding scale, so these pass (no warning: it would raise here)
     code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}")
     assert (code, err) == (0, ""), err
     # a closed form off by 1e-6 of its leading h coefficient still fails the gate
-    closed = cli.closed_forms
+    closed = cyclosc.sga.closed_forms
 
     def tampered(params):
         s, t, c = closed(params)
@@ -194,61 +194,43 @@ def test_sga_closed_forms_pass_in_the_sectors_scale(capsys, monkeypatch, lam, al
         t[-1, -1] *= 1.0 + 1e-6
         return s, t, c
 
-    monkeypatch.setattr(cli, "closed_forms", tampered)
+    monkeypatch.setattr(cyclosc.sga, "closed_forms", tampered)
     code, out, err = run(capsys, "sga", "--lambda", str(lam), f"--alpha={alpha}", "--format", "csv")
     assert code == 2 and err.count("\n") == 1
-    assert err.startswith("error: extracted polynomials deviate from closed forms by ")
+    assert re.fullmatch(r"error: extracted polynomials deviate from closed forms by \S+ of the rounding scale\n", err)
 
 
 @pytest.mark.parametrize("lam, alpha", [(2, None), (3, None), (2, "0.5,auto"), (3, "-0.5,0.25,auto")])
-def test_sga_casimir_is_gated_in_its_own_scale(capsys, monkeypatch, lam, alpha):
-    # the sector sum weighs c by X^-lambda, so a 1e-6 relative error in the closed-form
-    # Casimir reads about 4e-9 of it at alpha = 0; c against its own scale catches it
+@pytest.mark.parametrize("field", ["f", "h", "c"])
+def test_sga_every_closed_form_coefficient_is_gated(capsys, monkeypatch, field, lam, alpha):
+    # a closed form off by 1e-6 of any one coefficient of f, h or c (by 1e-6 where it is 0)
+    # fails: each coefficient is compared in its own rounding scale
     argv = ["sga", "--lambda", str(lam)] + ([f"--alpha={alpha}"] if alpha else [])
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, ""), err
-    assert re.search(r"casimir \S+ of its scale$", out.splitlines()[-1])
-    closed = cli.closed_forms
+    assert re.fullmatch(r"closed-form max deviation: \S+ of the rounding scale", out.splitlines()[-1])
+    closed = cyclosc.sga.closed_forms
+    k = "fhc".index(field)
+    want = closed(cyclosc.algebra.validate_params(lam, cli._parse_alpha(lam, alpha)))[k]
+    for index in np.ndindex(np.shape(want)):
+        def tampered(params):
+            cf = [np.array(v, dtype=float) for v in closed(params)]
+            cf[k][index] = want[index] * (1.0 + 1e-6) if want[index] else 1e-6
+            return tuple(cf)
 
-    def tampered(params):
-        s, t, c = closed(params)
-        return s, t, c * (1.0 + 1e-6)
-
-    monkeypatch.setattr(cli, "closed_forms", tampered)
-    code, out, err = run(capsys, *argv, "--format", "csv")
-    assert code == 2 and err.count("\n") == 1
-    assert err.startswith("error: the extracted casimir deviates from its closed form by ")
-
-
-@pytest.mark.parametrize("alpha", [None, "-0.5,0.25,auto"])
-def test_sga_f_constant_is_gated_in_its_own_scale(capsys, monkeypatch, alpha):
-    # the sector sum weighs f's constant by X^(1-lambda), so a 1e-6 relative error in the
-    # closed form's reads about 1e-10 of it; f(0) = P_-(0) - P_+(0) against the sum of the two
-    # root products' rounding scales reads 1e-6 at alpha = 0 and 5e-7 deformed
-    argv = ["sga", "--lambda", "3"] + ([f"--alpha={alpha}"] if alpha else [])
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, ""), err
-    assert re.search(r"f constant \S+ of its scale, casimir", out.splitlines()[-1])
-    closed = cli.closed_forms
-
-    def tampered(params):
-        s, t, c = closed(params)
-        s = s.copy()
-        s[:, 0] *= 1.0 + 1e-6
-        return s, t, c
-
-    monkeypatch.setattr(cli, "closed_forms", tampered)
-    code, out, err = run(capsys, *argv)
-    dev = float(re.search(r"f constant (\S+) of its scale", out.splitlines()[-1]).group(1))
-    assert 1e-7 < dev <= 1.01e-6
-    assert code == 2 and err.count("\n") == 1
-    assert err.startswith("error: the extracted f constant deviates from its closed form by ")
+        monkeypatch.setattr(cyclosc.sga, "closed_forms", tampered)
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 2 and err.count("\n") == 1, index
+        dev = float(re.fullmatch(r"error: extracted polynomials deviate from closed forms by (\S+) "
+                                 r"of the rounding scale\n", err).group(1))
+        # a scale is never below its coefficient, and here within 12 times it (equal at alpha = 0)
+        assert 5e-8 < dev <= 1.01e-6 if want[index] else dev > 1e-8, index
 
 
 def test_sga_f_constant_lost_to_the_root_products_passes(capsys, monkeypatch):
     # at lambda = 3, alpha = (1e50, 0, -1e50) P_-(0) and P_+(0) are about 1e148 and f(0) is
     # rounded away in their difference; that loss is inside the scale, so a 1e-6 error passes
-    closed = cli.closed_forms
+    closed = cyclosc.sga.closed_forms
 
     def tampered(params):
         s, t, c = closed(params)
@@ -256,26 +238,29 @@ def test_sga_f_constant_lost_to_the_root_products_passes(capsys, monkeypatch):
         s[:, 0] = s[:, 0] * (1.0 + 1e-6) + 1e-6
         return s, t, c
 
-    monkeypatch.setattr(cli, "closed_forms", tampered)
+    monkeypatch.setattr(cyclosc.sga, "closed_forms", tampered)
     code, out, err = run(capsys, "sga", "--lambda", "3", "--alpha=1e50,0,auto")
     assert (code, err) == (0, ""), err
 
 
-def test_sga_casimir_scale_is_the_root_products_own():
-    # at alpha = 0 the scale is |c|; at lambda = 2, alpha_0 = 3 c_0 vanishes and its scale
-    # does not; it holds the partial sums the roots cancel, so that lambda = 3 at
-    # alpha = (1e50, 0, -1e50), whose c_1 = -1.4e49 sits far below them, passes
+def test_sga_rounding_scales_are_the_root_products_own():
+    # at alpha = 0 c's scale is |c|; at lambda = 2, alpha_0 = 3 c_0 vanishes and its scale
+    # does not; every scale bounds its coefficient, and it holds the partial sums the roots
+    # cancel, so that lambda = 3 at alpha = (1e50, 0, -1e50), whose c_1 = -1.4e49 sits far
+    # below them, passes
     for lam in (2, 3):
         params = cyclosc.algebra.validate_params(lam, [0.0] * lam)
-        assert np.allclose(cyclosc.sga._casimir_scale(params), np.abs(cli.closed_forms(params)[2]),
+        assert np.allclose(cyclosc.sga._rounding_scales(params)[2], np.abs(cyclosc.sga.closed_forms(params)[2]),
                            rtol=1e-15, atol=0.0)
     params = cyclosc.algebra.validate_params(2, [3.0, -3.0])
-    assert cli.closed_forms(params)[2][0] == 0.0
-    assert cyclosc.sga._casimir_scale(params)[0] == 3.75
+    assert cyclosc.sga.closed_forms(params)[2][0] == 0.0
+    assert cyclosc.sga._rounding_scales(params)[2][0] == 3.75
     rng = np.random.default_rng(28)
     for lam in (2, 3, 4, 5):
         params = cyclosc.algebra.validate_params(lam, cyclosc.algebra.random_admissible_alpha(lam, rng))
-        assert np.all(cyclosc.sga._casimir_scale(params) >= np.abs(cyclosc.sga.build_sga(params).c))
+        poly = cyclosc.sga.build_sga(params)
+        for scale, coef in zip(cyclosc.sga._rounding_scales(params), (poly.s, poly.t, poly.c)):
+            assert np.all(scale >= np.abs(coef))
     assert main(["sga", "--lambda", "3", "--alpha=1e+50,0.0,auto"]) == 0
 
 

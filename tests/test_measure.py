@@ -182,9 +182,11 @@ def test_weights_take_arrays():
         for mu in (0, lam - 1):
             np.testing.assert_allclose(weight_photon(lam, mu, y), [weight_photon(lam, mu, v) for v in y],
                                        rtol=1e-14, atol=0.0)
-    empty = np.array([])  # an empty y gives an empty weight
-    assert weight_lambda2(validate_params(2, [5.0, -5.0]), 1, empty).shape == (0,)
-    assert weight_photon(3, 2, empty).shape == (0,)
+    # both weights take a list, a 0-d array and an empty y (an empty weight) as they take an array
+    for weight in (partial(weight_lambda2, validate_params(2, [5.0, -5.0])), partial(weight_photon, 2)):
+        assert np.array_equal(weight(1, [0.5, 2.0]), weight(1, np.array([0.5, 2.0])))
+        assert weight(1, np.array(2.0)) == weight(1, 2.0)
+        assert weight(1, np.array([])).shape == (0,)
 
 
 def test_lambda2_weight_near_zero_where_bessel_overflows():
@@ -197,7 +199,8 @@ def test_lambda2_weight_near_zero_where_bessel_overflows():
 
 def test_weights_reject_nonfinite_or_nonpositive_y():
     p = validate_params(2, [0.5, -0.5])
-    for bad in (math.nan, math.inf, -1.0, 0.0, np.array([1.0, math.nan]), np.array([0.5, math.inf])):
+    for bad in (math.nan, math.inf, -1.0, 0.0, np.array([1.0, math.nan]), np.array([0.5, math.inf]),
+                [1.0, math.nan], [0.5, 0.0], [0.5, math.inf]):
         with pytest.raises(ValueError, match="^y must be finite and positive$"):
             weight_photon(2, 0, bad)
         with pytest.raises(ValueError, match="^y must be finite and positive$"):

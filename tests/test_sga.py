@@ -292,6 +292,7 @@ def test_stacked_build_gives_each_failing_set_its_own_error():
     assert [isinstance(poly, RuntimeError) for poly in got] == [False, True, False, True]
     with pytest.raises(ValueError, match="share one lambda"):
         build_sga([stack[0], validate_params(2, [0.0, 0.0])])
+    assert build_sga([]) == []  # as build_states gives no states for no points
 
 
 def _rational_alpha(lam, rng):

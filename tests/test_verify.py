@@ -128,6 +128,8 @@ def test_dense_operators_equal_the_per_level_loop(lam):
             assert np.array_equal(verify._h0_diagonal(stack)[k], verify._h0_diagonal(own))
     with pytest.raises(ValueError, match="share one lambda"):
         dense_operators([draws[0], validate_params(lam + 1, [0.0] * (lam + 1))], 3 * lam * lam + 2 * lam)
+    with pytest.raises(ValueError, match="^an empty stack of parameter sets has no lambda$"):
+        dense_operators([], 3 * lam * lam + 2 * lam)
     # the commutators suite's lambda-only reference, at its truncation
     n_op, _, _, b, b_dag, projectors, _ = _dense_operators_per_level(draws[0], verify.extraction_n_max(lam))
     proj, _, n_diag, b_sup, real = verify._lambda_reference(lam)
